@@ -1,17 +1,18 @@
-// Serving-mode benchmark: the persistent-server companion to
-// bench_throughput's batch numbers. Drives ccg::server end to end —
-// requests through Server::handle_line, execution on the work-stealing
-// scheduler — at worker counts {1,2,8}, verifies the drained no-timing
-// report is byte-identical across the sweep, measures steady-state
-// allocations per job on a warm scheduler worker (the fast path must be
-// exactly 0 — the same reset-and-reuse contract bench_throughput pins,
-// now under the server scheduler), quantifies the cross-job caches
-// (result replay, dense-context preload), and emits per-job-class
-// latency quantiles (p50/p95/p99) plus jobs/sec into BENCH_serving.json.
+// Serving benchmark: the jobs/sec and warm-allocation numbers of the one
+// serving path (server::Server, which ccg_serve and ccg_batch both run
+// on). Drives ccg::server end to end — requests through
+// Server::handle_line, execution on the work-stealing scheduler — at
+// worker counts {1,2,8}, verifies the drained no-timing report is
+// byte-identical across the sweep, measures steady-state allocations per
+// job on a warm scheduler worker for the fast, auto and low recipes (the
+// reset-and-reuse contract: fast must be exactly 0, auto and low within
+// a fixed budget), quantifies the cross-job caches (result replay,
+// dense-context preload), and emits per-job-class latency quantiles
+// (p50/p95/p99) plus jobs/sec into BENCH_serving.json.
 //
 // bench/check_regression.py gates this file: fast_steady_allocs_per_job
-// must be 0, per-class p95 latency and jobs/sec must stay within the
-// reference band.
+// must be 0, auto/low_steady_allocs_per_job at most 64, per-class p95
+// latency and jobs/sec within the reference band.
 //
 // Usage: bench_serving [out.json]
 //   out.json  default BENCH_serving.json (cwd; run from the repo root)
@@ -109,18 +110,21 @@ server::Task make_task(const std::string& id, const std::string& flags) {
   return t;
 }
 
-// Steady-state allocations per job on one warm scheduler worker: fast
-// jobs over a cached instance, result/dense caches off so every job
-// takes the real solve path. Two warmup passes (high-water marks), then
-// allocation and time deltas over `passes` measured passes — submit,
-// ring hop, steal check, cache-hit instance lookup, solve, histogram
-// record all included. Must be exactly 0 allocs/job.
+// Steady-state allocations per job on one warm scheduler worker: `count`
+// jobs of one recipe over a cached instance, result/dense caches off so
+// every job takes the real solve path. Two warmup passes (high-water
+// marks, see tests/test_svc_reuse.cpp for why two), then allocation and
+// time deltas over `passes` measured passes — submit, ring hop, steal
+// check, cache-hit instance lookup, solve, histogram record all
+// included. Recipes without --seed get per-id seeds, so every job of a
+// pass colors with a different stream.
 struct SteadyState {
   double allocs_per_job = 0;
   double ns_per_job = 0;
 };
 
-SteadyState measure_scheduler_steady(int passes) {
+SteadyState measure_scheduler_steady(const char* flags, int count,
+                                     int passes) {
   server::ServeCache cache{server::CacheBudgets{}};
   server::SchedulerOptions sopt;
   sopt.workers = 1;
@@ -132,10 +136,8 @@ SteadyState measure_scheduler_steady(int passes) {
   sched.start();
 
   std::vector<server::Task> tasks;
-  for (int i = 0; i < 8; ++i) {
-    tasks.push_back(make_task("s" + std::to_string(i),
-                              "--gen gnm --n 2000 --m 16000 --algo fast "
-                              "--seed 7"));
+  for (int i = 0; i < count; ++i) {
+    tasks.push_back(make_task("s" + std::to_string(i), flags));
   }
   const auto run_pass = [&] {
     for (auto& t : tasks) {
@@ -266,8 +268,8 @@ int main(int argc, char** argv) {
 
   bench::header("BENCH / serving",
                 "persistent-server jobs/sec at workers in {1,2,8}; "
-                "byte-identical drained reports across the sweep; zero "
-                "allocs/job on the warm fast path under the scheduler; "
+                "byte-identical drained reports across the sweep; warm "
+                "allocs/job under the scheduler (fast 0, auto/low budgeted); "
                 "per-class latency quantiles");
   std::printf("hardware threads: %d\n", hw_threads);
 
@@ -312,14 +314,45 @@ int main(int argc, char** argv) {
   std::printf("drained no-timing report: byte-identical across the sweep\n");
 
   // ---- warm-path allocations under the scheduler ----
-  const auto steady = measure_scheduler_steady(2);
+  const auto fast_steady = measure_scheduler_steady(
+      "--gen gnm --n 2000 --m 16000 --algo fast --seed 7", 8, 2);
+  const auto auto_steady = measure_scheduler_steady(
+      "--gen planted --delta 150 --cliques 4 --ext 4 --anti 2 --oracle "
+      "--eps 0.2",
+      4, 1);
+  const auto low_steady =
+      measure_scheduler_steady("--gen gnm --n 1200 --m 4000 --algo low", 4, 1);
+  // Warm-path allocation budgets, re-checked against the JSON by
+  // bench/check_regression.py (--max-steady-allocs). The fast path must
+  // stay exactly allocation-free; the full high/low pipelines tolerate a
+  // small fixed number of grow-only stragglers.
+  constexpr double kAutoAllocBudget = 64;
+  constexpr double kLowAllocBudget = 64;
   std::printf("fast path:  %.2f allocs/job, %.2f ms/job (must be 0 allocs)\n",
-              steady.allocs_per_job, steady.ns_per_job / 1e6);
-  if (steady.allocs_per_job != 0) {
+              fast_steady.allocs_per_job, fast_steady.ns_per_job / 1e6);
+  std::printf("auto path:  %.0f allocs/job, %.2f ms/job (budget %.0f)\n",
+              auto_steady.allocs_per_job, auto_steady.ns_per_job / 1e6,
+              kAutoAllocBudget);
+  std::printf("low path:   %.0f allocs/job, %.2f ms/job (budget %.0f)\n",
+              low_steady.allocs_per_job, low_steady.ns_per_job / 1e6,
+              kLowAllocBudget);
+  if (fast_steady.allocs_per_job != 0) {
     std::fprintf(stderr,
                  "FATAL: warm fast path allocated under the scheduler "
                  "(%.3f allocs/job)\n",
-                 steady.allocs_per_job);
+                 fast_steady.allocs_per_job);
+    return 1;
+  }
+  if (auto_steady.allocs_per_job > kAutoAllocBudget) {
+    std::fprintf(stderr,
+                 "FATAL: warm auto path over budget (%.1f > %.0f allocs/job)\n",
+                 auto_steady.allocs_per_job, kAutoAllocBudget);
+    return 1;
+  }
+  if (low_steady.allocs_per_job > kLowAllocBudget) {
+    std::fprintf(stderr,
+                 "FATAL: warm low path over budget (%.1f > %.0f allocs/job)\n",
+                 low_steady.allocs_per_job, kLowAllocBudget);
     return 1;
   }
 
@@ -381,8 +414,12 @@ int main(int argc, char** argv) {
     j.end_object();
   }
   j.end_array();
-  j.key("fast_steady_allocs_per_job").value(steady.allocs_per_job);
-  j.key("fast_steady_ns_per_job").value(steady.ns_per_job);
+  j.key("fast_steady_allocs_per_job").value(fast_steady.allocs_per_job);
+  j.key("fast_steady_ns_per_job").value(fast_steady.ns_per_job);
+  j.key("auto_steady_allocs_per_job").value(auto_steady.allocs_per_job);
+  j.key("auto_steady_ns_per_job").value(auto_steady.ns_per_job);
+  j.key("low_steady_allocs_per_job").value(low_steady.allocs_per_job);
+  j.key("low_steady_ns_per_job").value(low_steady.ns_per_job);
   j.key("result_replay_jobs_per_sec").value(replay.jobs_per_sec);
   j.key("result_replay_hit_ratio").value(replay.hit_ratio);
   j.key("dense_preload_speedup").value(dense_speedup);

@@ -25,11 +25,11 @@ same-machine gate:
 
     python3 bench/check_regression.py fresh.json BENCH_pipeline.json
 
-Non-pipeline fresh files dispatch on their "bench" tag instead:
-"throughput" gates the warm-slot allocation counters, "serving" gates
-server-path allocations, report determinism across worker counts, and
-(loosely, --serving-factor) jobs/sec and per-class p95 latency against a
-committed BENCH_serving.json reference.
+A "serving" fresh file (bench_serving) dispatches on its "bench" tag
+instead: it gates warm allocations per job under the server scheduler
+(fast == 0, auto/low <= --max-steady-allocs), report determinism across
+worker counts, and (loosely, --serving-factor) jobs/sec and per-class p95
+latency against a committed BENCH_serving.json reference.
 """
 
 import argparse
@@ -105,11 +105,12 @@ def check_serving(fresh: dict, reference: dict, factor: float,
                   max_allocs: float) -> bool:
     """Gate a BENCH_serving.json against the committed reference.
 
-    Three independent checks: the warm fast path must stay exactly
-    allocation-free under the server scheduler, the drained no-timing
-    report must have been byte-identical across the worker sweep (the
-    bench aborts on a mismatch, but the flag is re-checked here so a
-    hand-edited JSON can't pass), and the machine-confounded throughput
+    Three independent checks: warm allocations per job under the server
+    scheduler (fast exactly 0, auto/low within ``max_allocs``), the
+    drained no-timing report must have been byte-identical across the
+    worker sweep (the bench aborts on a mismatch, but the flag is
+    re-checked here so a hand-edited JSON can't pass), and the
+    machine-confounded throughput
     and latency figures must stay within a generous ``factor`` of the
     reference: jobs/sec no worse than reference/factor, per-class p95 no
     worse than factor * reference. ``factor`` is deliberately loose —
@@ -170,7 +171,7 @@ def check_serving(fresh: dict, reference: dict, factor: float,
 
 
 def check_steady_allocs(fresh: dict, max_allocs: float) -> bool:
-    """Gate warm-slot allocations in a BENCH_throughput.json.
+    """Gate warm allocations per job in a BENCH_serving.json.
 
     The fast path must be exactly allocation-free; the auto (full
     high-degree pipeline) and low paths must stay within the budget. A
@@ -229,9 +230,9 @@ def main() -> int:
         "--max-steady-allocs",
         type=float,
         default=64.0,
-        help="for BENCH_throughput.json fresh files: maximum allowed "
-        "auto/low warm-slot allocations per job (fast must be exactly 0; "
-        "default 64; set negative to disable)",
+        help="for BENCH_serving.json fresh files: maximum allowed "
+        "auto/low warm allocations per job under the scheduler (fast "
+        "must be exactly 0; default 64)",
     )
     ap.add_argument(
         "--serving-factor",
@@ -257,21 +258,12 @@ def main() -> int:
     with open(args.reference) as f:
         reference = json.load(f)
 
-    # This gate understands the pipeline bench only. A non-pipeline
-    # *fresh* file (e.g. BENCH_throughput.json from bench_throughput) is
-    # ignored, not crashed on, so CI can glob BENCH*.json without
-    # special-casing. A non-pipeline *reference* against a pipeline fresh
-    # file is a misconfigured baseline, and silently skipping it would
-    # disable the gate — fail loudly instead.
+    # Past the serving branch this gate understands the pipeline bench
+    # only. Any other *fresh* file is ignored, not crashed on, so CI can
+    # glob BENCH*.json without special-casing. A non-pipeline *reference*
+    # against a pipeline fresh file is a misconfigured baseline, and
+    # silently skipping it would disable the gate — fail loudly instead.
     fresh_kind = fresh.get("bench")
-    if fresh_kind == "throughput":
-        # Throughput JSONs carry no comparable totals, but they do carry
-        # the warm-slot allocation counters — gate those here so the CI
-        # bench-regression job catches steady-state allocation creep.
-        if args.max_steady_allocs < 0:
-            print("steady-alloc gate disabled (--max-steady-allocs < 0)")
-            return 0
-        return 0 if check_steady_allocs(fresh, args.max_steady_allocs) else 1
     if fresh_kind == "serving":
         # Serving JSONs gate against a committed serving reference; a
         # non-serving reference is a misconfigured baseline, and gating

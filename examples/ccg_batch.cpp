@@ -1,21 +1,24 @@
-// ccg_batch — batch coloring service CLI (src/svc/).
+// ccg_batch — batch coloring CLI.
 //
-// Reads a job manifest (see src/svc/manifest.hpp for the format), runs it
-// over the batch scheduler and prints the JSON report.
+// Reads a job manifest (see src/svc/manifest.hpp for the format), submits
+// every expanded job to an in-process server::Server (src/server/) — the
+// same scheduler ccg_serve runs — drains it and prints the server's JSON
+// report, one row per job keyed by its zero-padded manifest index.
 //
 //   ccg_batch --manifest jobs.txt
 //   ccg_batch --manifest - < jobs.txt            (stdin)
 //   ccg_batch --manifest jobs.txt --sched-workers 8 --out report.json
 //   ccg_batch --manifest jobs.txt --no-timing    (deterministic output:
-//       byte-identical for every --sched-workers value and job order)
+//       byte-identical for every --sched-workers value)
 //   ccg_batch --manifest jobs.txt --max-retries 2 --degrade
 //             --deadline-ms 5000                 (fault-tolerant serving)
 //
 // Exit codes: 0 = every job ok and none degraded; 1 = at least one job
 // failed; 2 = usage or manifest error; 3 = no failures but at least one
 // job was served by the degradation fallback. (Documented in API.md.)
+#include <chrono>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -24,6 +27,7 @@
 #include "ccg/ccg.hpp"
 #include "common/failpoint.hpp"
 #include "common/parse.hpp"
+#include "server/server.hpp"
 
 namespace {
 
@@ -127,42 +131,63 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  ccg::svc::BatchOptions opt;
-  opt.sched_workers = sched_workers;
+  // Open the output before running anything: an unwritable --out is a
+  // usage error (exit 2), not a failed job.
+  std::ofstream file;
+  if (!out_path.empty()) {
+    file.open(out_path);
+    if (!file) {
+      std::fprintf(stderr, "ccg_batch: cannot write %s\n", out_path.c_str());
+      return 2;
+    }
+  }
+
+  auto opt = ccg::server::batch_options(manifest);
+  opt.workers = sched_workers;
   opt.max_retries = max_retries;
   opt.degrade = degrade;
   opt.deadline_ms = deadline_ms;
-  const auto report = ccg::svc::run_batch(manifest, opt);
-  const auto json = ccg::svc::report_json(manifest, report, include_timing);
-
-  if (out_path.empty()) {
-    std::fputs(json.c_str(), stdout);
-  } else {
-    std::ofstream f(out_path);
-    if (!f) {
-      std::fprintf(stderr, "ccg_batch: cannot write %s\n",
-                   out_path.c_str());
+  ccg::server::Server srv(opt);
+  const int num_jobs = static_cast<int>(manifest.jobs.size());
+  const auto t0 = std::chrono::steady_clock::now();
+  for (auto& job : manifest.jobs) {
+    const std::string id = ccg::server::batch_job_id(job.index, num_jobs);
+    if (srv.submit(id, std::move(job)) != ccg::server::Admission::kAccepted) {
+      // Cannot happen: ids are unique and the queue holds the manifest.
+      std::fprintf(stderr, "ccg_batch: job %s was not admitted\n",
+                   id.c_str());
       return 1;
     }
-    f << json;
+  }
+  ccg::server::Tally tally;
+  srv.for_each_result([&](const std::string&, const ccg::svc::JobSpec&,
+                          const ccg::svc::JobResult& r) { tally.add(r); });
+  const double secs = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+  const auto json = srv.report_json(include_timing);
+
+  std::ostream& out = out_path.empty() ? std::cout : file;
+  out << json;
+  out.flush();
+  if (!out) {
+    std::fprintf(stderr, "ccg_batch: failed writing the report to %s\n",
+                 out_path.empty() ? "stdout" : out_path.c_str());
+    return 2;
   }
 
-  int ok = 0;
-  for (const auto& jr : report.jobs) ok += jr.ok ? 1 : 0;
   if (!quiet) {
     std::fprintf(stderr,
-                 "ccg_batch: %d/%zu jobs ok, %d instance(s), "
-                 "%d scheduler worker(s), %.1f jobs/sec\n",
-                 ok, report.jobs.size(), report.num_instances,
-                 report.sched_workers, report.jobs_per_sec);
-    if (report.jobs_failed + report.jobs_retried + report.jobs_degraded >
-        0) {
+                 "ccg_batch: %d/%d jobs ok, %d scheduler worker(s), "
+                 "%.1f jobs/sec\n",
+                 tally.ok_jobs, num_jobs, srv.scheduler().workers(),
+                 secs > 0 ? num_jobs / secs : 0.0);
+    if (tally.jobs_failed + tally.jobs_retried + tally.jobs_degraded > 0) {
       std::fprintf(stderr,
                    "ccg_batch: %d job(s) failed, %d retried, %d degraded\n",
-                   report.jobs_failed, report.jobs_retried,
-                   report.jobs_degraded);
+                   tally.jobs_failed, tally.jobs_retried, tally.jobs_degraded);
     }
   }
-  if (report.jobs_failed > 0) return 1;
-  return report.jobs_degraded > 0 ? 3 : 0;
+  if (tally.jobs_failed > 0) return 1;
+  return tally.jobs_degraded > 0 ? 3 : 0;
 }

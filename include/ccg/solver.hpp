@@ -24,13 +24,14 @@
 // lowdeg::color_virtual_graph, ...) for every Options::threads value —
 // including across reuse of one Solver for unrelated problems in between
 // (pinned by tests/test_api.cpp). This is the serving contract of the
-// batch service (src/svc/), whose JobSlot is a thin adapter over Solver.
+// coloring service (src/svc/, src/server/), whose JobSlot is a thin
+// adapter over Solver.
 //
 // Allocation contract: with Options::copy_colors = false and a reused
 // Outcome (the three-argument solve), warm Algo::kFast calls on
 // Problem::cluster instances at or below the session's high-water size
 // perform zero heap allocations (pinned by tests/test_svc_reuse.cpp and
-// enforced by bench/bench_throughput.cpp).
+// enforced under the serving scheduler by bench/bench_serving.cpp).
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,6 @@
 // Global operator new/delete instrumentation for the zero-allocation
 // guards (tests/test_primitives_scratch.cpp, tests/test_svc_reuse.cpp,
-// bench/bench_throughput.cpp).
+// bench/bench_serving.cpp).
 //
 // Including this header REPLACES the global allocation operators for the
 // whole binary: every operator new (array and align_val_t forms included)

@@ -22,8 +22,8 @@
 // run's seed), and ArmSpec::match_arg restricts firing to exactly that
 // unit. A fault armed on one (job, attempt) seed fires on that attempt
 // and no other, for every scheduler-worker count and execution order —
-// this is what pins the batch service's byte-identical-with-faults
-// report contract. skip/times counters remain available for
+// this is what pins the serving report's byte-identical-with-faults
+// contract. skip/times counters remain available for
 // single-threaded unit tests.
 //
 // Cost. Disarmed sites cost one relaxed atomic load of a global counter

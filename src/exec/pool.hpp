@@ -16,7 +16,6 @@
 // first, so the surfaced error is deterministic too.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <exception>
 #include <functional>
@@ -60,17 +59,8 @@ class ThreadPool {
   // thread executes chunk 0.
   void for_shards(std::int64_t total, RawShardFn fn, void* ctx);
 
-  // Dynamic counterpart of for_shards: workers repeatedly claim the next
-  // single index of [0, total) from a shared cursor and run
-  // fn(ctx, w, i, i+1). Use when per-item costs vary wildly (whole
-  // coloring jobs in the batch service) and static chunking would leave
-  // workers idle. Which worker runs which index is timing-dependent, so
-  // callers must keep results independent of the assignment (index-keyed
-  // output slots, no cross-item shared mutable state).
-  void for_dynamic(std::int64_t total, RawShardFn fn, void* ctx);
-
-  // Convenience overloads for std::function callers (tests, one-off
-  // call sites where the per-call allocation does not matter).
+  // Convenience overload for std::function callers (tests, one-off call
+  // sites where the per-call allocation does not matter).
   void for_shards(std::int64_t total, const ShardFn& fn) {
     for_shards(
         total,
@@ -79,20 +69,11 @@ class ThreadPool {
         },
         const_cast<void*>(static_cast<const void*>(&fn)));
   }
-  void for_dynamic(std::int64_t total, const ShardFn& fn) {
-    for_dynamic(
-        total,
-        [](void* ctx, int w, std::int64_t b, std::int64_t e) {
-          (*static_cast<const ShardFn*>(ctx))(w, b, e);
-        },
-        const_cast<void*>(static_cast<const void*>(&fn)));
-  }
 
   // Install a cooperative cancellation token (nullptr disarms). Checked
-  // at for_shards entry and at every for_dynamic claim; expiry surfaces
-  // as a CancelledError rethrown on the calling thread like any shard
-  // exception. The caller must keep the token alive across dispatches and
-  // must not swap it while a dispatch is in flight.
+  // at for_shards entry; expiry surfaces as a CancelledError thrown on
+  // the calling thread. The caller must keep the token alive across
+  // dispatches and must not swap it while a dispatch is in flight.
   void set_cancel(const CancelToken* token) { cancel_ = token; }
   const CancelToken* cancel_token() const { return cancel_; }
 
@@ -101,13 +82,12 @@ class ThreadPool {
 
  private:
   void worker_loop(int w, std::uint64_t seen);
-  void run_dynamic(int w, RawShardFn fn, void* ctx, std::int64_t total);
 
   // Externally synchronized: written only by resize(), whose contract
   // forbids calling it while a dispatch is in flight, from the single
-  // controlling thread that also calls for_shards/for_dynamic. Worker
-  // threads read it under mu_ (dispatch handoff); the controlling
-  // thread's unlocked reads race nothing.
+  // controlling thread that also calls for_shards. Worker threads read
+  // it under mu_ (dispatch handoff); the controlling thread's unlocked
+  // reads race nothing.
   int workers_ = 1;
   std::vector<std::thread> threads_;  // controlling thread only
 
@@ -120,8 +100,6 @@ class ThreadPool {
   std::uint64_t generation_ CCG_GUARDED_BY(mu_) = 0;
   int pending_ CCG_GUARDED_BY(mu_) = 0;
   bool stop_ CCG_GUARDED_BY(mu_) = false;
-  bool dynamic_ CCG_GUARDED_BY(mu_) = false;
-  std::atomic<std::int64_t> cursor_{0};  // lock-free: the dynamic cursor
   // Deliberately NOT guarded by mu_: worker w writes only errors_[w]
   // during a dispatch, and the fork/join barrier (pending_ handoff under
   // mu_) provides the happens-before edge to the caller's post-join

@@ -2,9 +2,9 @@
 //
 // Three things are worth remembering across jobs and clients:
 //
-//   * prepared instances (svc::Instance) — the batch service builds its
-//     instance cache per manifest; a server sees the same recipes again
-//     and again across requests, so instances live in an LRU keyed on
+//   * prepared instances (svc::Instance) — a server sees the same
+//     recipes again and again across requests (and a batch manifest
+//     repeats them), so instances live in an LRU keyed on
 //     JobSpec::key with single-flight building (concurrent misses on one
 //     key build once, everyone shares the result);
 //   * dense-context snapshots (color::DenseSnapshot) — the ACD build is
@@ -91,12 +91,14 @@ class LruCache {
       hits_.fetch_add(1, std::memory_order_relaxed);
       return fut.get();
     }
-    misses_.fetch_add(1, std::memory_order_relaxed);
     std::promise<std::shared_ptr<const V>> prom;
     bool owner = false;
     {
       MutexLock lock(mu_);
-      if (auto v = lookup_locked(key)) return v;  // lost a fill race
+      if (auto v = lookup_locked(key)) {  // lost a fill race
+        hits_.fetch_add(1, std::memory_order_relaxed);
+        return v;
+      }
       auto it = inflight_.find(key);
       if (it == inflight_.end()) {
         fut = prom.get_future().share();
@@ -106,6 +108,8 @@ class LruCache {
         fut = it->second;
       }
     }
+    // Only the builder is charged the miss, so misses == builds.
+    (owner ? misses_ : hits_).fetch_add(1, std::memory_order_relaxed);
     if (!owner) return fut.get();
     std::shared_ptr<const V> v;
     try {

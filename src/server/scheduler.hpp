@@ -1,15 +1,15 @@
 // The serving scheduler: admission control + per-worker run queues with
 // work stealing + per-worker Solver arenas and SLO metrics.
 //
-// The batch service schedules with ThreadPool::for_dynamic — a shared
-// cursor over a job list whose size is known up front. A server has no
-// such list: jobs arrive while workers run, so the scheduler generalizes
-// the shared cursor into per-worker deques (exec/steal.hpp). submit()
-// places a job on the shard its instance key hashes to — jobs sharing a
-// prepared instance gravitate to the same worker, whose JobSlot arena is
-// already warm for them — and an idle worker steals from the back of a
-// victim's shard. Placement and stealing only move *where and when* a
-// job runs; every job's seed is a pure function of (server seed, id), so
+// It is the only job scheduler: ccg_serve streams jobs into it as they
+// arrive, and ccg_batch submits a whole manifest up front through the
+// same Server. Jobs arrive while workers run, so each worker owns a
+// deque (exec/steal.hpp). submit() places a job on the shard its
+// instance key hashes to — jobs sharing a prepared instance gravitate to
+// the same worker, whose JobSlot arena is already warm for them — and an
+// idle worker steals from the back of a victim's shard. Placement and stealing only move *where and when* a
+// job runs; every job's seed is fixed before submission (a pure function
+// of (server seed, id), or of (manifest seed, index) for a batch), so
 // results are bit-identical for any worker count and steal schedule.
 //
 // Admission is a hard bound on in-flight jobs (queued + running):
@@ -46,7 +46,7 @@ namespace ccg::server {
 // precomputed at admission so the execute path never builds a string.
 struct Task {
   std::string id;
-  svc::JobSpec job;       // index + params_seed already derived
+  svc::JobSpec job;       // index + params_seed fixed by the submitter
   std::string dense_key;
   std::string result_key;
   svc::JobResult result;  // filled by the worker that runs the task
@@ -56,7 +56,8 @@ struct SchedulerOptions {
   int workers = 1;        // <= 0 selects the hardware concurrency
   int queue_depth = 256;  // admission bound on in-flight jobs
   // Failure policy per job (retries seeded from policy.manifest_seed =
-  // the server seed; see svc::derive_retry_seed).
+  // the server seed, which a batch sets to its manifest seed; see
+  // svc::derive_retry_seed).
   svc::RunPolicy policy;
   bool use_result_cache = true;
   bool use_dense_cache = true;

@@ -1,5 +1,7 @@
 #include "server/server.hpp"
 
+#include <algorithm>
+
 namespace ccg::server {
 
 namespace {
@@ -43,6 +45,16 @@ void cache_stats_json(JsonWriter& j, const char* name,
 
 }  // namespace
 
+void Tally::add(const svc::JobResult& r) {
+  ok_jobs += r.ok ? 1 : 0;
+  jobs_failed += r.ok ? 0 : 1;
+  jobs_retried += r.attempts > 1 ? 1 : 0;
+  jobs_degraded += r.degraded ? 1 : 0;
+  total_h_rounds += r.h_rounds;
+  total_g_rounds += r.g_rounds;
+  total_fallbacks += r.fallback_count;
+}
+
 Server::Server(const ServerOptions& opt)
     : opt_(opt), cache_(opt.cache), sched_(scheduler_options(opt), &cache_) {
   sched_.start();
@@ -64,32 +76,26 @@ bool Server::handle_line(const std::string& line, int lineno,
   }
   switch (req.kind) {
     case RequestKind::kJob: {
-      MutexLock lock(mu_);
-      if (tasks_.count(req.id) != 0) {
-        svc::parse_fail(lineno, "duplicate job id '" + req.id + "'");
-      }
-      auto task = std::make_unique<Task>();
-      task->id = req.id;
-      task->job = std::move(req.job);
       // The id takes over both roles the manifest index plays: the seed
       // stream entity (derive_serve_seed) and the retry-stream index
       // (low 31 bits of the hash — retries stay deterministic per id).
-      task->job.index =
-          static_cast<int>(id_hash(req.id) & 0x7FFFFFFFULL);
-      if (!task->job.explicit_seed) {
-        task->job.params_seed = derive_serve_seed(opt_.seed, req.id);
+      req.job.index = static_cast<int>(id_hash(req.id) & 0x7FFFFFFFULL);
+      if (!req.job.explicit_seed) {
+        req.job.params_seed = derive_serve_seed(opt_.seed, req.id);
       }
-      task->dense_key = dense_key(task->job);
-      task->result_key = result_key(task->job);
-      if (!sched_.submit(task.get())) {
-        // Shed: explicit backpressure instead of unbounded queueing. The
-        // task is dropped entirely — the client may resubmit the same id
-        // once the queue drains.
-        *out += "shed " + req.id + " queue_full\n";
-        return true;
+      switch (submit(req.id, std::move(req.job))) {
+        case Admission::kDuplicate:
+          svc::parse_fail(lineno, "duplicate job id '" + req.id + "'");
+        case Admission::kShed:
+          // Explicit backpressure instead of unbounded queueing. The task
+          // is dropped entirely — the client may resubmit the same id
+          // once the queue drains.
+          *out += "shed " + req.id + " queue_full\n";
+          return true;
+        case Admission::kAccepted:
+          *out += "accepted " + req.id + "\n";
+          return true;
       }
-      *out += "accepted " + req.id + "\n";
-      tasks_.emplace(std::move(req.id), std::move(task));
       return true;
     }
     case RequestKind::kDrain:
@@ -111,6 +117,19 @@ bool Server::handle_line(const std::string& line, int lineno,
   return true;
 }
 
+Admission Server::submit(const std::string& id, svc::JobSpec job) {
+  MutexLock lock(mu_);
+  if (tasks_.count(id) != 0) return Admission::kDuplicate;
+  auto task = std::make_unique<Task>();
+  task->id = id;
+  task->job = std::move(job);
+  task->dense_key = dense_key(task->job);
+  task->result_key = result_key(task->job);
+  if (!sched_.submit(task.get())) return Admission::kShed;
+  tasks_.emplace(id, std::move(task));
+  return Admission::kAccepted;
+}
+
 void Server::drain() {
   // Block new submissions while draining so "ok drain" means what it
   // says at the moment it is written. Workers never take mu_, so queued
@@ -125,9 +144,18 @@ void Server::append_report(bool include_timing, std::string* out) {
   *out += "report-end\n";
 }
 
+void Server::visit_locked(const ResultFn& fn) {
+  sched_.drain();  // results are only ever read drained
+  for (const auto& [id, task] : tasks_) fn(id, task->job, task->result);
+}
+
+void Server::for_each_result(const ResultFn& fn) {
+  MutexLock lock(mu_);
+  visit_locked(fn);
+}
+
 std::string Server::report_json(bool include_timing) {
   MutexLock lock(mu_);
-  sched_.drain();  // a report is always a drained report
   JsonWriter j;
   j.begin_object();
   j.key("report").value("ccg_serve");
@@ -136,32 +164,26 @@ std::string Server::report_json(bool include_timing) {
   j.key("num_jobs").value(static_cast<int>(tasks_.size()));
   if (include_timing) j.key("workers").value(sched_.workers());
 
-  int ok_jobs = 0, jobs_failed = 0, jobs_retried = 0, jobs_degraded = 0;
-  std::int64_t total_h = 0, total_g = 0, total_fallbacks = 0;
+  Tally tally;
   j.key("jobs").begin_array();
-  for (const auto& [id, task] : tasks_) {
+  visit_locked([&](const std::string& id, const svc::JobSpec& job,
+                   const svc::JobResult& result) {
     j.begin_object();
     j.key("id").value(id);
-    svc::job_result_json(j, task->job, task->result, include_timing);
+    svc::job_result_json(j, job, result, include_timing);
     j.end_object();
-    ok_jobs += task->result.ok ? 1 : 0;
-    jobs_failed += task->result.ok ? 0 : 1;
-    jobs_retried += task->result.attempts > 1 ? 1 : 0;
-    jobs_degraded += task->result.degraded ? 1 : 0;
-    total_h += task->result.h_rounds;
-    total_g += task->result.g_rounds;
-    total_fallbacks += task->result.fallback_count;
-  }
+    tally.add(result);
+  });
   j.end_array();
 
   j.key("aggregate").begin_object();
-  j.key("ok_jobs").value(ok_jobs);
-  j.key("jobs_failed").value(jobs_failed);
-  j.key("jobs_retried").value(jobs_retried);
-  j.key("jobs_degraded").value(jobs_degraded);
-  j.key("total_h_rounds").value(total_h);
-  j.key("total_g_rounds").value(total_g);
-  j.key("total_fallbacks").value(total_fallbacks);
+  j.key("ok_jobs").value(tally.ok_jobs);
+  j.key("jobs_failed").value(tally.jobs_failed);
+  j.key("jobs_retried").value(tally.jobs_retried);
+  j.key("jobs_degraded").value(tally.jobs_degraded);
+  j.key("total_h_rounds").value(tally.total_h_rounds);
+  j.key("total_g_rounds").value(tally.total_g_rounds);
+  j.key("total_fallbacks").value(tally.total_fallbacks);
   j.end_object();
 
   if (include_timing) {
@@ -214,6 +236,20 @@ std::string Server::stats_json() {
   j.end_array();
   j.end_object();
   return j.str();
+}
+
+ServerOptions batch_options(const svc::Manifest& m) {
+  ServerOptions o;
+  o.seed = m.seed;
+  o.queue_depth = std::max(1, static_cast<int>(m.jobs.size()));
+  return o;
+}
+
+std::string batch_job_id(int index, int num_jobs) {
+  const std::size_t width = std::to_string(std::max(0, num_jobs - 1)).size();
+  std::string id = std::to_string(index);
+  if (id.size() < width) id.insert(0, width - id.size(), '0');
+  return id;
 }
 
 }  // namespace ccg::server

@@ -1,4 +1,5 @@
-// Job manifests for the batch coloring service (src/svc/service.hpp).
+// Job manifests: the input of the batch CLI (examples/ccg_batch.cpp),
+// which submits every expanded job to an in-process server::Server.
 //
 // A manifest is a line-based text description of a stream of coloring
 // jobs — the serving shape of real (Delta+1)-coloring deployments

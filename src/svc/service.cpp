@@ -8,7 +8,6 @@
 #include "common/assert.hpp"
 #include "common/failpoint.hpp"
 #include "common/json.hpp"
-#include "exec/pool.hpp"
 #include "graph/io.hpp"
 
 namespace ccg::svc {
@@ -108,7 +107,7 @@ void JobSlot::run_attempt(const Instance& inst, const JobSpec& job,
 void JobSlot::degrade(const Instance& inst, JobResult* out) {
   // Graceful degradation: the sequential greedy baseline always yields a
   // proper (Delta+1)-coloring, deterministically (no RNG), so a degraded
-  // batch report is still byte-identical across scheduler configurations.
+  // report is still byte-identical across scheduler configurations.
   // The last failure's error/code are kept for the report.
   const graph::Graph& h = inst.vg ? inst.vg->h() : inst.cg.h();
   degrade_colors_ = baseline::greedy_coloring(h);
@@ -254,84 +253,6 @@ std::vector<Instance> prepare_instances(const Manifest& m,
   return instances;
 }
 
-BatchReport run_batch(const Manifest& m, const BatchOptions& opt) {
-  const auto t0 = clock_type::now();
-  BatchReport rep;
-  rep.manifest_seed = m.seed;
-  const int workers = exec::ThreadPool::resolve(opt.sched_workers);
-  rep.sched_workers = workers;
-
-  std::vector<int> instance_of;
-  const auto instances = prepare_instances(m, &instance_of);
-  rep.num_instances = static_cast<int>(instances.size());
-
-  const int num_jobs = static_cast<int>(m.jobs.size());
-  rep.jobs.assign(static_cast<std::size_t>(num_jobs), JobResult{});
-
-  std::vector<int> order;
-  if (opt.order.empty()) {
-    order.resize(static_cast<std::size_t>(num_jobs));
-    for (int i = 0; i < num_jobs; ++i) order[static_cast<std::size_t>(i)] = i;
-  } else {
-    CCG_CHECK_MSG(static_cast<int>(opt.order.size()) == num_jobs,
-                  "BatchOptions::order must cover every job");
-    std::vector<char> seen(static_cast<std::size_t>(num_jobs), 0);
-    for (const int i : opt.order) {
-      CCG_CHECK_MSG(i >= 0 && i < num_jobs && !seen[static_cast<std::size_t>(i)],
-                    "BatchOptions::order must be a permutation of [0, jobs)");
-      seen[static_cast<std::size_t>(i)] = 1;
-    }
-    order = opt.order;
-  }
-
-  RunPolicy policy;
-  policy.manifest_seed = m.seed;
-  policy.max_retries = opt.max_retries;
-  policy.degrade = opt.degrade;
-  policy.deadline_ms = opt.deadline_ms;
-
-  std::vector<JobSlot> slots(static_cast<std::size_t>(workers));
-  const auto t1 = clock_type::now();
-  if (num_jobs > 0) {
-    struct Ctx {
-      const Manifest* m;
-      const std::vector<Instance>* instances;
-      const std::vector<int>* instance_of;
-      const std::vector<int>* order;
-      const RunPolicy* policy;
-      std::vector<JobSlot>* slots;
-      BatchReport* rep;
-    } ctx{&m, &instances, &instance_of, &order, &policy, &slots, &rep};
-    exec::ThreadPool pool(workers);
-    pool.for_dynamic(
-        num_jobs,
-        [](void* c, int w, std::int64_t b, std::int64_t) {
-          auto& ctx = *static_cast<Ctx*>(c);
-          const int ji = (*ctx.order)[static_cast<std::size_t>(b)];
-          const auto& job = ctx.m->jobs[static_cast<std::size_t>(ji)];
-          const int inst_id = (*ctx.instance_of)[static_cast<std::size_t>(ji)];
-          auto* out = &ctx.rep->jobs[static_cast<std::size_t>(ji)];
-          (*ctx.slots)[static_cast<std::size_t>(w)].run(
-              (*ctx.instances)[static_cast<std::size_t>(inst_id)], job,
-              *ctx.policy, out);
-          out->instance = inst_id;  // after run(): run() resets *out
-        },
-        &ctx);
-  }
-  for (const auto& jr : rep.jobs) {
-    if (!jr.ok) ++rep.jobs_failed;
-    if (jr.attempts > 1) ++rep.jobs_retried;
-    if (jr.degraded) ++rep.jobs_degraded;
-  }
-  const auto t2 = clock_type::now();
-  rep.sched_wall_ns = elapsed_ns(t1, t2);
-  rep.wall_ns = elapsed_ns(t0, t2);
-  rep.jobs_per_sec = (num_jobs > 0 && rep.sched_wall_ns > 0)
-                         ? num_jobs * 1e9 / rep.sched_wall_ns
-                         : 0.0;
-  return rep;
-}
-
 void job_result_json(JsonWriter& j, const JobSpec& js, const JobResult& jr,
                      bool include_timing) {
   j.key("key").value(js.key);
@@ -339,7 +260,6 @@ void job_result_json(JsonWriter& j, const JobSpec& js, const JobResult& jr,
   j.key("mode").value(mode_name(js.mode));
   j.key("threads").value(js.threads);
   j.key("seed").value(js.params_seed);
-  j.key("instance").value(jr.instance);
   j.key("ok").value(jr.ok);
   j.key("degraded").value(jr.degraded);
   j.key("attempts").value(jr.attempts);
@@ -359,52 +279,6 @@ void job_result_json(JsonWriter& j, const JobSpec& js, const JobResult& jr,
   j.key("num_cliques").value(jr.num_cliques);
   j.key("num_cabals").value(jr.num_cabals);
   if (include_timing) j.key("wall_ns").value(jr.wall_ns);
-}
-
-std::string report_json(const Manifest& m, const BatchReport& r,
-                        bool include_timing) {
-  CCG_CHECK(m.jobs.size() == r.jobs.size());
-  JsonWriter j;
-  j.begin_object();
-  j.key("report").value("ccg_batch");
-  j.key("schema_version").value(1);
-  j.key("manifest_seed").value(r.manifest_seed);
-  j.key("num_jobs").value(static_cast<int>(r.jobs.size()));
-  j.key("num_instances").value(r.num_instances);
-  if (include_timing) j.key("sched_workers").value(r.sched_workers);
-
-  int ok_jobs = 0;
-  std::int64_t total_h = 0, total_g = 0, total_fallbacks = 0;
-  j.key("jobs").begin_array();
-  for (const auto& jr : r.jobs) {
-    const auto& js = m.jobs[static_cast<std::size_t>(jr.index)];
-    j.begin_object();
-    j.key("index").value(jr.index);
-    job_result_json(j, js, jr, include_timing);
-    j.end_object();
-    ok_jobs += jr.ok ? 1 : 0;
-    total_h += jr.h_rounds;
-    total_g += jr.g_rounds;
-    total_fallbacks += jr.fallback_count;
-  }
-  j.end_array();
-
-  j.key("aggregate").begin_object();
-  j.key("ok_jobs").value(ok_jobs);
-  j.key("jobs_failed").value(r.jobs_failed);
-  j.key("jobs_retried").value(r.jobs_retried);
-  j.key("jobs_degraded").value(r.jobs_degraded);
-  j.key("total_h_rounds").value(total_h);
-  j.key("total_g_rounds").value(total_g);
-  j.key("total_fallbacks").value(total_fallbacks);
-  if (include_timing) {
-    j.key("wall_ns").value(r.wall_ns);
-    j.key("sched_wall_ns").value(r.sched_wall_ns);
-    j.key("jobs_per_sec").value(r.jobs_per_sec);
-  }
-  j.end_object();
-  j.end_object();
-  return j.str();
 }
 
 }  // namespace ccg::svc

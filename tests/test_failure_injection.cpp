@@ -9,6 +9,7 @@
 #include <thread>
 
 #include "baseline/baselines.hpp"
+#include "batch_helpers.hpp"
 #include "ccg/solver.hpp"
 #include "cluster/validate.hpp"
 #include "common/failpoint.hpp"
@@ -430,10 +431,10 @@ TEST_F(Failpoints, FaultedJobRetriesAndSucceedsDeterministically) {
     fail::ArmSpec spec;
     spec.match_arg = m.jobs[1].params_seed;
     fail::arm("svc.job.run", spec);
-    svc::BatchOptions opt;
-    opt.sched_workers = workers;
+    auto opt = server::batch_options(m);
+    opt.workers = workers;
     opt.max_retries = 2;
-    const auto rep = svc::run_batch(m, opt);
+    const auto rep = testing::serve_manifest(m, opt);
     EXPECT_EQ(fail::fire_count("svc.job.run"), 1);
     ASSERT_EQ(rep.jobs.size(), 3u);
     EXPECT_TRUE(rep.jobs[1].ok) << rep.jobs[1].error;
@@ -441,10 +442,10 @@ TEST_F(Failpoints, FaultedJobRetriesAndSucceedsDeterministically) {
     EXPECT_FALSE(rep.jobs[1].degraded);
     EXPECT_EQ(rep.jobs[0].attempts, 1);
     EXPECT_EQ(rep.jobs[2].attempts, 1);
-    EXPECT_EQ(rep.jobs_failed, 0);
-    EXPECT_EQ(rep.jobs_retried, 1);
-    EXPECT_EQ(rep.jobs_degraded, 0);
-    const auto json = svc::report_json(m, rep, /*include_timing=*/false);
+    EXPECT_EQ(rep.tally.jobs_failed, 0);
+    EXPECT_EQ(rep.tally.jobs_retried, 1);
+    EXPECT_EQ(rep.tally.jobs_degraded, 0);
+    const auto& json = rep.report;
     if (reference.empty()) {
       reference = json;
     } else {
@@ -531,11 +532,11 @@ TEST_F(Failpoints, QuarantinedSlotMatchesFreshSolverBitForBit) {
   EXPECT_EQ(via_slot, fresh.colors());
 }
 
-TEST_F(Failpoints, BatchReportByteIdenticalAcrossWorkersWithFaults) {
+TEST_F(Failpoints, BatchByteIdenticalAcrossWorkersAndOrdersWithFaults) {
   // The full recovery spectrum in one manifest — a transient fault that
   // retries into success, a persistent fault that degrades, a build
   // failure, and healthy jobs — must still produce byte-identical
-  // deterministic reports for every worker count and execution order.
+  // deterministic reports for every worker count and submission order.
   const auto m = svc::parse_manifest_string(
       "seed 99\n"
       "job --gen gnm --n 300 --m 2400 --algo fast --repeat 2\n"
@@ -558,17 +559,16 @@ TEST_F(Failpoints, BatchReportByteIdenticalAcrossWorkersWithFaults) {
   for (const int workers : {1, 2, 8}) {
     for (const bool reversed : {false, true}) {
       arm_all();
-      svc::BatchOptions opt;
-      opt.sched_workers = workers;
+      auto opt = server::batch_options(m);
+      opt.workers = workers;
       opt.max_retries = 1;
       opt.degrade = true;
-      if (reversed) {
-        opt.order = {4, 3, 2, 1, 0};
-      }
-      const auto rep = svc::run_batch(m, opt);
-      EXPECT_EQ(rep.jobs_failed, 1);    // the missing DIMACS file
-      EXPECT_EQ(rep.jobs_retried, 2);   // transient + persistent faults
-      EXPECT_EQ(rep.jobs_degraded, 1);  // the persistent fault
+      const auto rep = testing::serve_manifest(
+          m, opt, reversed ? std::vector<int>{4, 3, 2, 1, 0}
+                           : std::vector<int>{});
+      EXPECT_EQ(rep.tally.jobs_failed, 1);    // the missing DIMACS file
+      EXPECT_EQ(rep.tally.jobs_retried, 2);   // transient + persistent faults
+      EXPECT_EQ(rep.tally.jobs_degraded, 1);  // the persistent fault
       EXPECT_TRUE(rep.jobs[1].ok);
       EXPECT_EQ(rep.jobs[1].attempts, 2);
       EXPECT_TRUE(rep.jobs[2].degraded);
@@ -576,7 +576,7 @@ TEST_F(Failpoints, BatchReportByteIdenticalAcrossWorkersWithFaults) {
       EXPECT_FALSE(rep.jobs[3].ok);
       EXPECT_EQ(rep.jobs[3].code, ErrorCode::kBuildFailed);
       EXPECT_EQ(rep.jobs[3].attempts, 0);
-      const auto json = svc::report_json(m, rep, /*include_timing=*/false);
+      const auto& json = rep.report;
       if (reference.empty()) {
         reference = json;
       } else {
@@ -593,12 +593,12 @@ TEST_F(Failpoints, PrepareFaultIsContainedToTheInstance) {
   const auto m = svc::parse_manifest_string(
       "job --gen gnm --n 200 --m 800 --algo fast\n");
   fail::arm("svc.prepare", {});
-  const auto rep = svc::run_batch(m, {});
+  const auto rep = testing::serve_manifest(m);
   ASSERT_EQ(rep.jobs.size(), 1u);
   EXPECT_FALSE(rep.jobs[0].ok);
   EXPECT_EQ(rep.jobs[0].code, ErrorCode::kInternal);
   EXPECT_EQ(rep.jobs[0].attempts, 0);
-  EXPECT_EQ(rep.jobs_failed, 1);
+  EXPECT_EQ(rep.tally.jobs_failed, 1);
 }
 
 TEST_F(Failpoints, JobDeadlineOverridesBatchDefault) {
@@ -612,13 +612,40 @@ TEST_F(Failpoints, JobDeadlineOverridesBatchDefault) {
   spec.delay_ms = 1200;
   spec.match_arg = m.jobs[1].params_seed;
   fail::arm("solver.fast", spec);
-  svc::BatchOptions opt;
+  auto opt = server::batch_options(m);
   opt.deadline_ms = 300;
-  const auto rep = svc::run_batch(m, opt);
+  const auto rep = testing::serve_manifest(m, opt);
   EXPECT_TRUE(rep.jobs[0].ok) << rep.jobs[0].error;
   EXPECT_FALSE(rep.jobs[1].ok);
   EXPECT_EQ(rep.jobs[1].code, ErrorCode::kDeadlineExceeded);
-  EXPECT_EQ(rep.jobs_failed, 1);
+  EXPECT_EQ(rep.tally.jobs_failed, 1);
+}
+
+TEST_F(Failpoints, BatchRetrySeedsFollowTheManifestStream) {
+  // Retry k of manifest job i runs derive_retry_seed(manifest seed, i, k):
+  // fault job 1's attempt 0 and its first retry by seed, and the second
+  // retry must succeed — three attempts, on every worker count.
+  const auto m = svc::parse_manifest_string(
+      "seed 77\n"
+      "job --gen gnm --n 200 --m 900 --algo fast --repeat 3\n");
+  for (const int workers : {1, 8}) {
+    fail::disarm_all();
+    fail::ArmSpec first;
+    first.match_arg = m.jobs[1].params_seed;
+    fail::arm("svc.job.run", first);
+    fail::ArmSpec retry;
+    retry.match_arg = svc::derive_retry_seed(77, 1, 1);
+    fail::arm("solver.fast", retry);
+    auto opt = server::batch_options(m);
+    opt.workers = workers;
+    opt.max_retries = 2;
+    const auto rep = testing::serve_manifest(m, opt);
+    ASSERT_EQ(rep.jobs.size(), 3u);
+    EXPECT_TRUE(rep.jobs[1].ok) << rep.jobs[1].error;
+    EXPECT_EQ(rep.jobs[1].attempts, 3) << "workers " << workers;
+    EXPECT_EQ(rep.jobs[0].attempts, 1);
+    EXPECT_EQ(rep.jobs[2].attempts, 1);
+  }
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
-// Batch coloring service (src/svc/): manifest parsing, proper colorings
-// through both serving algorithms, instance-cache sharing, slot
-// reset-and-reuse correctness, and the headline determinism contract —
-// identical manifest => byte-identical deterministic report for every
-// scheduler-worker count and submission-order permutation.
+// Batch coloring (src/svc/ run through server::Server, as ccg_batch
+// does): manifest parsing, proper colorings through both serving
+// algorithms, instance-cache sharing, slot reset-and-reuse correctness,
+// and the headline determinism contract — identical manifest =>
+// byte-identical deterministic report for every scheduler-worker count
+// and submission order.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,10 +11,14 @@
 #include <string>
 #include <vector>
 
+#include "batch_helpers.hpp"
 #include "ccg/ccg.hpp"
 
 namespace ccg::svc {
 namespace {
+
+using ccg::testing::cache_stat;
+using ccg::testing::serve_manifest;
 
 int env_threads() {
   if (const char* env = std::getenv("CCG_TEST_THREADS")) {
@@ -128,7 +133,7 @@ TEST(SvcBatch, ProgrammaticUnknownLayoutFailsLoudly) {
   j.key = instance_key(j);
   m.jobs.push_back(j);
   finalize_job_seeds(m);
-  const auto rep = run_batch(m, {});
+  const auto rep = serve_manifest(m);
   ASSERT_EQ(rep.jobs.size(), 1u);
   EXPECT_FALSE(rep.jobs[0].ok);
   EXPECT_NE(rep.jobs[0].error.find("unknown layout"), std::string::npos);
@@ -136,9 +141,7 @@ TEST(SvcBatch, ProgrammaticUnknownLayoutFailsLoudly) {
 
 TEST(SvcBatch, AllJobsColorProperly) {
   const auto m = parse_manifest_string(test_manifest_text());
-  BatchOptions opt;
-  opt.sched_workers = 2;
-  const auto rep = run_batch(m, opt);
+  const auto rep = serve_manifest(m, 2);
   ASSERT_EQ(rep.jobs.size(), m.jobs.size());
   for (const auto& jr : rep.jobs) {
     EXPECT_TRUE(jr.ok) << "job " << jr.index << ": " << jr.error;
@@ -149,19 +152,16 @@ TEST(SvcBatch, AllJobsColorProperly) {
   // The planted job went down the high-degree pipeline: it found cliques.
   EXPECT_GT(rep.jobs[3].num_cliques, 0);
   // Distinct instance recipes: gnm400, planted, gnm300, caveman, grid.
-  EXPECT_EQ(rep.num_instances, 5);
-  EXPECT_EQ(rep.jobs[0].instance, rep.jobs[1].instance);
-  EXPECT_EQ(rep.jobs[6].instance, rep.jobs[7].instance);
+  // Each is built once (one miss) and cached; repeats share it.
+  EXPECT_EQ(cache_stat(rep.stats, "instance_cache", "misses"), 5u);
+  EXPECT_EQ(cache_stat(rep.stats, "instance_cache", "entries"), 5u);
 }
 
 TEST(SvcBatch, ReportBitIdenticalAcrossSchedulerWorkers) {
   const auto m = parse_manifest_string(test_manifest_text());
   std::string reference;
   for (const int workers : {1, 2, 8}) {
-    BatchOptions opt;
-    opt.sched_workers = workers;
-    const auto rep = run_batch(m, opt);
-    const auto json = report_json(m, rep, /*include_timing=*/false);
+    const auto json = serve_manifest(m, workers).report;
     if (reference.empty()) {
       reference = json;
     } else {
@@ -187,49 +187,82 @@ TEST(SvcBatch, ReportBitIdenticalAcrossSubmissionOrders) {
   }
   orders.push_back(rotated);
 
-  BatchOptions base;
-  base.sched_workers = 2;
-  const auto ref_json =
-      report_json(m, run_batch(m, base), /*include_timing=*/false);
+  const auto ref_json = serve_manifest(m, 2).report;
   for (const auto& order : orders) {
-    BatchOptions opt;
-    opt.sched_workers = 2;
-    opt.order = order;
-    const auto json =
-        report_json(m, run_batch(m, opt), /*include_timing=*/false);
-    ASSERT_EQ(json, ref_json);
+    ASSERT_EQ(serve_manifest(m, 2, order).report, ref_json);
   }
 }
 
 TEST(SvcBatch, TimingModeOnlyAddsTimingFields) {
-  const auto m = parse_manifest_string(
-      "job --gen cycle --n 60 --algo fast\n");
-  const auto rep = run_batch(m, {});
-  const auto timed = report_json(m, rep, /*include_timing=*/true);
-  const auto det = report_json(m, rep, /*include_timing=*/false);
+  auto m = parse_manifest_string("job --gen cycle --n 60 --algo fast\n");
+  server::Server srv(server::batch_options(m));
+  ASSERT_EQ(srv.submit(server::batch_job_id(0, 1), std::move(m.jobs[0])),
+            server::Admission::kAccepted);
+  const auto timed = srv.report_json(/*include_timing=*/true);
+  const auto det = srv.report_json(/*include_timing=*/false);
   EXPECT_NE(timed.find("wall_ns"), std::string::npos);
-  EXPECT_NE(timed.find("sched_workers"), std::string::npos);
-  EXPECT_NE(timed.find("jobs_per_sec"), std::string::npos);
+  EXPECT_NE(timed.find("\"workers\""), std::string::npos);
+  EXPECT_NE(timed.find("\"slo\""), std::string::npos);
   EXPECT_EQ(det.find("wall_ns"), std::string::npos);
-  EXPECT_EQ(det.find("sched_workers"), std::string::npos);
-  EXPECT_EQ(det.find("jobs_per_sec"), std::string::npos);
+  EXPECT_EQ(det.find("\"workers\""), std::string::npos);
+  EXPECT_EQ(det.find("\"slo\""), std::string::npos);
 }
 
 TEST(SvcBatch, FailedInstanceFailsItsJobsAndSparesTheRest) {
   const auto m = parse_manifest_string(
       "job --dimacs /nonexistent/instance.col --algo fast\n"
       "job --gen cycle --n 40 --algo fast\n");
-  const auto rep = run_batch(m, {});
+  const auto rep = serve_manifest(m);
   ASSERT_EQ(rep.jobs.size(), 2u);
   EXPECT_FALSE(rep.jobs[0].ok);
   EXPECT_FALSE(rep.jobs[0].error.empty());
   EXPECT_TRUE(rep.jobs[1].ok) << rep.jobs[1].error;
   // Failure text is deterministic, so the report contract still holds.
-  const auto a = report_json(m, run_batch(m, {}), false);
-  BatchOptions w8;
-  w8.sched_workers = 8;
-  const auto b = report_json(m, run_batch(m, w8), false);
-  EXPECT_EQ(a, b);
+  EXPECT_EQ(rep.report, serve_manifest(m, 8).report);
+}
+
+TEST(SvcBatch, ManifestLargerThanDefaultQueueNeverSheds) {
+  // The queue is sized from the manifest, not the server default (256),
+  // so every job of a larger batch is admitted and reported.
+  const auto m =
+      parse_manifest_string("job --gen cycle --n 30 --algo fast --repeat 300\n");
+  ASSERT_GT(m.jobs.size(), static_cast<std::size_t>(
+                               server::ServerOptions{}.queue_depth));
+  const auto rep = serve_manifest(m, 2);
+  ASSERT_EQ(rep.jobs.size(), 300u);
+  EXPECT_EQ(rep.tally.ok_jobs, 300);
+  EXPECT_NE(rep.stats.find("\"shed\": 0,"), std::string::npos) << rep.stats;
+  EXPECT_NE(rep.report.find("\"num_jobs\": 300"), std::string::npos);
+}
+
+TEST(SvcBatch, RowsKeepManifestIdsAndSeeds) {
+  // Ids are the zero-padded manifest index, so the server's id order is
+  // manifest order; each row's seed is still the manifest-derived one.
+  auto m = parse_manifest_string(
+      "seed 61\njob --gen cycle --n 40 --algo fast --repeat 12\n");
+  const int n = static_cast<int>(m.jobs.size());
+  EXPECT_EQ(server::batch_job_id(0, n), "00");
+  EXPECT_EQ(server::batch_job_id(11, n), "11");
+  EXPECT_EQ(server::batch_job_id(7, 1000), "007");
+  server::Server srv(server::batch_options(m));
+  for (auto& job : m.jobs) {
+    ASSERT_EQ(srv.submit(server::batch_job_id(job.index, n), std::move(job)),
+              server::Admission::kAccepted);
+  }
+  int next = 0;
+  srv.for_each_result([&](const std::string& id, const JobSpec& job,
+                          const JobResult& r) {
+    EXPECT_EQ(job.index, next);
+    EXPECT_EQ(id, server::batch_job_id(next, n));
+    EXPECT_EQ(job.params_seed, derive_job_seed(61, job.index));
+    EXPECT_EQ(r.index, job.index);
+    EXPECT_TRUE(r.ok) << r.error;
+    ++next;
+  });
+  EXPECT_EQ(next, n);
+  const auto report = srv.report_json(/*include_timing=*/false);
+  EXPECT_NE(report.find("\"seed\": " + std::to_string(derive_job_seed(61, 5))),
+            std::string::npos);
 }
 
 TEST(SvcSlot, ReusedSlotMatchesFreshSlots) {
@@ -286,8 +319,8 @@ TEST(SvcBatch, IntraJobThreadCountDoesNotChangeTheReport) {
   };
   const auto m1 = parse_manifest_string(text_with(1));
   const auto m4 = parse_manifest_string(text_with(4));
-  const auto j1 = report_json(m1, run_batch(m1, {}), false);
-  auto j4 = report_json(m4, run_batch(m4, {}), false);
+  const auto j1 = serve_manifest(m1).report;
+  const auto j4 = serve_manifest(m4).report;
   // The reports differ only in the recorded threads field.
   const auto fix = [](std::string s) {
     std::size_t pos = 0;
@@ -342,9 +375,7 @@ TEST(SvcVirtualModes, EdgeAndDist2JobsColorProperlyAndDeterministically) {
       "job --gen grid --w 8 --h 8 --mode edge\n"
       "job --gen gnm --n 150 --m 450 --mode dist2 --repeat 2\n"
       "job --gen gnm --n 150 --m 450 --algo low\n");
-  BatchOptions opt;
-  opt.sched_workers = 2;
-  const auto rep = run_batch(m, opt);
+  const auto rep = serve_manifest(m, 2);
   ASSERT_EQ(rep.jobs.size(), 5u);
   for (const auto& jr : rep.jobs) {
     EXPECT_TRUE(jr.ok) << "job " << jr.index << ": " << jr.error;
@@ -358,10 +389,10 @@ TEST(SvcVirtualModes, EdgeAndDist2JobsColorProperlyAndDeterministically) {
   EXPECT_EQ(rep.jobs[2].n, 150);
   EXPECT_EQ(rep.jobs[2].congestion, 2);
   EXPECT_EQ(rep.jobs[4].congestion, 1);
-  // Virtual instances are cached like any other.
-  EXPECT_EQ(rep.jobs[0].instance, rep.jobs[1].instance);
-  EXPECT_EQ(rep.jobs[2].instance, rep.jobs[3].instance);
-  EXPECT_NE(rep.jobs[2].instance, rep.jobs[4].instance);
+  // Virtual instances are cached like any other: edge grid, dist2 gnm
+  // and plain gnm are three builds for five jobs.
+  EXPECT_EQ(cache_stat(rep.stats, "instance_cache", "misses"), 3u);
+  EXPECT_EQ(cache_stat(rep.stats, "instance_cache", "entries"), 3u);
 
   // Programmatic builders that skip the parser still cannot pair a
   // virtual mode with a cluster layout: the instance build fails loudly
@@ -377,7 +408,7 @@ TEST(SvcVirtualModes, EdgeAndDist2JobsColorProperlyAndDeterministically) {
     j.key = instance_key(j);
     bypass.jobs.push_back(j);
     finalize_job_seeds(bypass);
-    const auto r = run_batch(bypass, {});
+    const auto r = serve_manifest(bypass);
     ASSERT_EQ(r.jobs.size(), 1u);
     EXPECT_FALSE(r.jobs[0].ok);
     EXPECT_NE(r.jobs[0].error.find("singleton"), std::string::npos)
@@ -387,9 +418,7 @@ TEST(SvcVirtualModes, EdgeAndDist2JobsColorProperlyAndDeterministically) {
   // The headline determinism contract extends to virtual-mode jobs.
   std::string reference;
   for (const int workers : {1, 2, 8}) {
-    BatchOptions o;
-    o.sched_workers = workers;
-    const auto json = report_json(m, run_batch(m, o), false);
+    const auto json = serve_manifest(m, workers).report;
     if (reference.empty()) {
       reference = json;
     } else {

@@ -174,8 +174,8 @@ TEST(SvcReuse, AutoJobsReuseTheAcdAndDenseScratch) {
   // The high-degree pipeline's working set — AcdResult members, the ACD
   // CSR/BFS scratch, DenseInfo, palettes, and every phase-orchestration
   // buffer — lives in grow-only State storage. Once warm, a full auto job
-  // must stay within the same small allocation budget the throughput
-  // bench gates on (bench_throughput / check_regression.py), and reuse
+  // must stay within the same small allocation budget the serving bench
+  // gates on (bench_serving / check_regression.py), and reuse
   // must not change a single output bit versus cold slots.
   constexpr int kJobs = 4;
   constexpr long long kBudgetPerJob = 64;
