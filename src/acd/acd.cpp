@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <string>
 
+#include "common/bits.hpp"
 #include "common/mathutil.hpp"
 #include "exec/parallel_round.hpp"
 #include "graph/stats.hpp"
@@ -30,8 +31,9 @@ void attempt(cluster::Runtime& rt, const AcdParams& params,
 
   res.reset(n);
 
-  auto& union_est = s.union_est;  // per h.edges() entry
-  const auto edges = h.edges();
+  const auto& edges = s.edges;
+  // Lemma 5.8's buddy predicate on an edge's joint neighborhood size.
+  const double buddy_limit = (1.0 + xi) * delta;
 
   if (params.use_fingerprints) {
     // Step 1: degree estimates. The sampling draws from per-(round,
@@ -45,59 +47,12 @@ void attempt(cluster::Runtime& rt, const AcdParams& params,
     sketch::neighborhood_counts_into(
         rt, s.raw, [](int, int) { return true; }, opt, &s.counts);
     res.degree_est = s.counts.estimate;
-    // Step 2: joint-neighborhood estimates from a fresh sampling (the
-    // paper samples new variables for the union step).
-    streams.bump();
-    sketch::sample_raw_fingerprints_stream(n, params.t, streams,
-                                           params.par, &s.raw);
-    sketch::neighborhood_counts_into(
-        rt, s.raw, [](int, int) { return true; }, opt, &s.counts);
-    sketch::edge_union_estimates_into(rt, s.counts, opt, &union_est);
   } else {
     // Oracle mode: exact values, identical round charges.
     for (int v = 0; v < n; ++v) {
       res.degree_est[static_cast<std::size_t>(v)] = h.degree(v);
     }
     rt.charge(1, 2 * params.t + 16);
-    // |N(u) ∪ N(v)| per edge. edges() is grouped by u, so stamping N(u)
-    // once per row and probing N(v) against the stamps costs
-    // O(deg u + sum_v deg v) per row instead of a sorted merge per edge —
-    // the dominant cost of the whole pipeline at Delta ~ n^Omega(1).
-    // Sharded over edge ranges by the round engine when one is supplied:
-    // each worker keeps a private stamp array (a shard that starts
-    // mid-row simply re-stamps that row), and union_est slots are
-    // per-edge disjoint, so the result is partition-independent.
-    union_est.resize(edges.size());
-    const auto stamp_rows = [&](std::vector<int>& stamp, std::int64_t b,
-                                std::int64_t e) {
-      int cur_u = -1;
-      for (std::int64_t idx = b; idx < e; ++idx) {
-        const auto& [u, v] = edges[static_cast<std::size_t>(idx)];
-        if (u != cur_u) {
-          cur_u = u;
-          for (const int w : h.neighbors(u)) {
-            stamp[static_cast<std::size_t>(w)] = u;
-          }
-        }
-        int common = 0;
-        for (const int w : h.neighbors(v)) {
-          common += (stamp[static_cast<std::size_t>(w)] == u);
-        }
-        union_est[static_cast<std::size_t>(idx)] =
-            h.degree(u) + h.degree(v) - common;
-      }
-    };
-    const auto workers =
-        static_cast<std::size_t>(params.par ? params.par->workers() : 1);
-    if (s.stamps.size() < workers) s.stamps.resize(workers);
-    exec::shards_or_inline(
-        params.par, static_cast<std::int64_t>(edges.size()),
-        [&](int w, std::int64_t b, std::int64_t e) {
-          auto& stamp = s.stamps[static_cast<std::size_t>(w)];
-          stamp.assign(static_cast<std::size_t>(n), -1);
-          stamp_rows(stamp, b, e);
-        });
-    rt.charge(3, 2 * params.t + 16);
   }
 
   // High-degree filter (Lemma 5.8): low-degree vertices answer No.
@@ -107,20 +62,97 @@ void attempt(cluster::Runtime& rt, const AcdParams& params,
         res.degree_est[static_cast<std::size_t>(v)] >=
         (1.0 - 2.0 * xi) * delta;
   }
+  const auto both_high = [&](int u, int v) {
+    return s.high[static_cast<std::size_t>(u)] &&
+           s.high[static_cast<std::size_t>(v)];
+  };
+
+  // Per-edge buddy flag (edges() order), read by both CSR passes below.
+  auto& buddy = s.buddy;
+  buddy.resize(edges.size());
+  if (params.use_fingerprints) {
+    // Step 2: joint-neighborhood estimates from a fresh sampling (the
+    // paper samples new variables for the union step).
+    streams.bump();
+    sketch::sample_raw_fingerprints_stream(n, params.t, streams,
+                                           params.par, &s.raw);
+    sketch::neighborhood_counts_into(
+        rt, s.raw, [](int, int) { return true; }, opt, &s.counts);
+    sketch::edge_union_estimates_into(rt, s.counts, opt, &s.union_est);
+    for (std::size_t e = 0; e < edges.size(); ++e) {
+      buddy[e] = both_high(edges[e].first, edges[e].second) &&
+                 s.union_est[e] <= buddy_limit;
+    }
+  } else {
+    // Exact |N(u) ∪ N(v)| = deg u + deg v - |N(u) ∩ N(v)|, needed only on
+    // high-high edges (any other edge fails the filter above). When both
+    // rows have an adjacency bitset (degree >= 64, under Graph's memory
+    // cap) the intersection is an AND-popcount of u's row, packed once
+    // per row down to its nonzero words, against v's row. Rows without a
+    // bitset fall back to stamping N(u) (once per row: edges() is grouped
+    // by u) and probing N(v) against the stamps.
+    // Sharded over edge ranges by the round engine when one is supplied:
+    // each worker keeps its own packed row and stamp array (a shard that
+    // starts mid-row simply redoes that row), and flags are per-edge
+    // disjoint, so the result is partition-independent.
+    const auto num_workers =
+        static_cast<std::size_t>(params.par ? params.par->workers() : 1);
+    if (s.workers.size() < num_workers) s.workers.resize(num_workers);
+    exec::shards_or_inline(
+        params.par, static_cast<std::int64_t>(edges.size()),
+        [&](int w, std::int64_t b, std::int64_t e) {
+          auto& ws = s.workers[static_cast<std::size_t>(w)];
+          ws.stamp.assign(static_cast<std::size_t>(n), -1);
+          int packed = -1, stamped = -1;
+          const auto common_neighbors = [&](int u, int v) {
+            if (h.has_bitset_row(u) && h.has_bitset_row(v)) {
+              if (packed != u) {
+                packed = u;
+                ws.row_words.clear();
+                ws.row_index.clear();
+                const auto* row = h.bitset_words(u);
+                for (std::int64_t i = 0; i < h.bitset_words_per_row(); ++i) {
+                  if (row[i] == 0) continue;
+                  ws.row_words.push_back(row[i]);
+                  ws.row_index.push_back(static_cast<std::int32_t>(i));
+                }
+              }
+              return bits::and_popcount(ws.row_words.data(),
+                                        ws.row_index.data(),
+                                        ws.row_words.size(),
+                                        h.bitset_words(v));
+            }
+            if (stamped != u) {
+              stamped = u;
+              for (const int x : h.neighbors(u)) {
+                ws.stamp[static_cast<std::size_t>(x)] = u;
+              }
+            }
+            int common = 0;
+            for (const int x : h.neighbors(v)) {
+              common += (ws.stamp[static_cast<std::size_t>(x)] == u);
+            }
+            return common;
+          };
+          for (std::int64_t idx = b; idx < e; ++idx) {
+            const auto& [u, v] = edges[static_cast<std::size_t>(idx)];
+            char is_buddy = 0;
+            if (both_high(u, v)) {
+              const int joint =
+                  h.degree(u) + h.degree(v) - common_neighbors(u, v);
+              is_buddy = joint <= buddy_limit;
+            }
+            buddy[static_cast<std::size_t>(idx)] = is_buddy;
+          }
+        });
+    rt.charge(3, 2 * params.t + 16);
+  }
 
   // Buddy edges, stored as a flat CSR built by count -> prefix-sum ->
-  // fill. The predicate is evaluated twice per edge, which is far cheaper
-  // than the doubling reallocations of a per-vertex vector-of-vectors —
-  // and leaves the whole build allocation-free on warm scratch.
-  const auto is_buddy = [&](std::size_t e) {
-    const auto& [u, v] = edges[e];
-    return s.high[static_cast<std::size_t>(u)] &&
-           s.high[static_cast<std::size_t>(v)] &&
-           union_est[e] <= (1.0 + xi) * delta;
-  };
+  // fill, so the whole build is allocation-free on warm scratch.
   s.buddy_deg.assign(static_cast<std::size_t>(n), 0);
   for (std::size_t e = 0; e < edges.size(); ++e) {
-    if (is_buddy(e)) {
+    if (buddy[e]) {
       ++s.buddy_deg[static_cast<std::size_t>(edges[e].first)];
       ++s.buddy_deg[static_cast<std::size_t>(edges[e].second)];
     }
@@ -134,7 +166,7 @@ void attempt(cluster::Runtime& rt, const AcdParams& params,
   s.buddy_cur.assign(s.buddy_off.begin(), s.buddy_off.end() - 1);
   s.buddy_adj.resize(static_cast<std::size_t>(s.buddy_off.back()));
   for (std::size_t e = 0; e < edges.size(); ++e) {
-    if (is_buddy(e)) {
+    if (buddy[e]) {
       const auto& [u, v] = edges[e];
       s.buddy_adj[static_cast<std::size_t>(
           s.buddy_cur[static_cast<std::size_t>(u)]++)] = v;
@@ -222,6 +254,15 @@ void compute_acd(cluster::Runtime& rt, const AcdParams& params,
   const int delta = rt.delta();
   const int max_size =
       static_cast<int>((1.0 + 3.0 * params.eps) * delta) + 1;
+  // The (u < v) edge list in edges() order, walked off the CSR rows into
+  // grow-only scratch once for all attempts.
+  const auto& h = rt.h();
+  scratch->edges.clear();
+  for (int u = 0; u < h.n(); ++u) {
+    for (const int v : h.neighbors(u)) {
+      if (v > u) scratch->edges.emplace_back(u, v);
+    }
+  }
   for (int tries = 0; tries < 3; ++tries) {
     attempt(rt, params, streams, *out, *scratch);
     bool ok = true;

@@ -16,9 +16,15 @@
 // An exact oracle mode computes the same decomposition from true degrees
 // and true joint-neighborhood sizes while charging identical rounds; the
 // pipeline uses it at large scale (DESIGN.md substitution #1, ablation E18
-// quantifies the difference).
+// quantifies the difference). It evaluates the joint size only on edges
+// whose endpoints both pass step 1's filter, as
+// |N(u) ∪ N(v)| = deg u + deg v - |N(u) ∩ N(v)|, with the intersection an
+// AND-popcount of the two adjacency bitset rows (graph::Graph keeps one
+// per row of degree >= 64), or a stamp probe for rows without one.
 #pragma once
 
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "cluster/runtime.hpp"
@@ -37,9 +43,8 @@ struct AcdParams {
   int t = 96;          // fingerprint width for all estimates
   bool use_fingerprints = true;  // false -> exact oracle mode (same cost)
   bool measure_bits = true;
-  // Optional round engine: parallelizes the oracle union-size stamp loop
-  // (the pipeline's dominant per-edge cost) over CSR rows. Results are
-  // identical with or without it.
+  // Optional round engine: parallelizes the oracle per-edge buddy count
+  // over edge ranges. Results are identical with or without it.
   exec::ParallelRound* par = nullptr;
 };
 
@@ -66,9 +71,17 @@ struct AcdResult {
 // caller (color::State keeps one per arena) so back-to-back jobs on warm
 // state run the whole decomposition without heap traffic.
 struct AcdScratch {
-  std::vector<double> union_est;        // per h.edges() entry
+  std::vector<std::pair<int, int>> edges;  // h.edges(), walked off the CSR
+  std::vector<double> union_est;  // fingerprint mode: per edges entry
+  std::vector<char> buddy;        // per edges entry: Lemma 5.8 predicate
   std::vector<char> high, candidate;    // per vertex
-  std::vector<std::vector<int>> stamps; // oracle stamp array per worker
+  // Oracle mode, per worker: the stamp array and u's packed bitset row.
+  struct Worker {
+    std::vector<int> stamp;
+    std::vector<std::uint64_t> row_words;  // nonzero words of u's row
+    std::vector<std::int32_t> row_index;   // ... and their word indices
+  };
+  std::vector<Worker> workers;
   // Fingerprint mode: raw per-vertex samples and the aggregated counts
   // (estimates + per-vertex maxima). Both rebind in place, so warm
   // fingerprint decompositions skip the per-vertex buffer rebuilds.

@@ -211,37 +211,37 @@ void fingerprint_matching_into(State& st, int clique_id,
   }
   if (charge) st.rt->charge(3, std::max(1, sketch::encoded_bits(yk)));
 
-  // Per-vertex in-clique neighborhood maxima Y_v (parallel shards): row i
-  // is written by exactly one shard against the frozen local-id table.
-  fp.yv.resize(szu * ktu);
-  par.shards(sz, [&](int, std::int64_t b, std::int64_t e) {
-    for (std::int64_t i = b; i < e; ++i) {
-      int* row = fp.yv.data() + static_cast<std::size_t>(i) * ktu;
-      std::fill(row, row + k_trials, -1);
-      const int v = members[static_cast<std::size_t>(i)];
-      for (const int u : h.neighbors(v)) {
-        const int li = sc.candidate(u);
-        if (li == TrialScratch::kNone) continue;
-        const int* xu = fp.x.data() + static_cast<std::size_t>(li) * ktu;
-        for (int t = 0; t < k_trials; ++t) row[t] = std::max(row[t], xu[t]);
-      }
-    }
-  });
-
   // Steps 3-4: local ids via prefix sums (O(1) rounds) and trial filtering
-  // via O(k_trials)-bit aggregated bitmaps. Unique-maximum detection is
+  // via O(k_trials)-bit aggregated bitmaps.
+  //
+  // The algorithm compares each member's in-list neighborhood maximum
+  // Y_v[t] only against Y_K[t]. Every draw is <= Y_K[t], so
+  // Y_v[t] == Y_K[t] exactly when some in-list neighbor of v lies in
+  // M_t = {m : x_m[t] == Y_K[t]}. hit[t][i] records that equality: one
+  // scan per trial finds M_t (its size and last member also decide the
+  // unique maximum) and marks the in-list neighbors of each m in M_t.
+  // |M_t| is about 1-2, so this costs O(k_trials * (|K| + |M_t| * Delta))
+  // instead of materializing Y_v in O(|K| * Delta * k_trials). Rows are
   // per-trial disjoint (parallel shards over trials).
   if (charge) st.rt->charge(4, k_trials);
   fp.argmax.resize(ktu);
+  fp.hit.resize(ktu * szu);
   par.shards(k_trials, [&](int, std::int64_t b, std::int64_t e) {
     for (std::int64_t t = b; t < e; ++t) {
+      std::uint8_t* hit = fp.hit.data() + static_cast<std::size_t>(t) * szu;
+      std::fill(hit, hit + sz, 0);
+      const int top = yk.maxima[static_cast<std::size_t>(t)];
       int count = 0, arg = -1;
       for (int i = 0; i < sz; ++i) {
         if (fp.x[static_cast<std::size_t>(i) * ktu +
-                 static_cast<std::size_t>(t)] ==
-            yk.maxima[static_cast<std::size_t>(t)]) {
-          ++count;
-          arg = i;
+                 static_cast<std::size_t>(t)] != top) {
+          continue;
+        }
+        ++count;
+        arg = i;
+        for (const int u : h.neighbors(members[static_cast<std::size_t>(i)])) {
+          const int li = sc.candidate(u);
+          if (li != TrialScratch::kNone) hit[li] = 1;
         }
       }
       fp.argmax[static_cast<std::size_t>(t)] = count == 1 ? arg : -1;
@@ -260,14 +260,11 @@ void fingerprint_matching_into(State& st, int clique_id,
     // A_i: members (other than u_i) whose neighborhood max differs from
     // the clique max — each detects an anti-edge to u_i. Condition (b)
     // needs A_i non-empty.
+    const std::uint8_t* hit =
+        fp.hit.data() + static_cast<std::size_t>(t) * szu;
     bool any_anti = false;
     for (int i = 0; i < sz && !any_anti; ++i) {
-      if (i == ui) continue;
-      if (fp.yv[static_cast<std::size_t>(i) * ktu +
-                static_cast<std::size_t>(t)] !=
-          yk.maxima[static_cast<std::size_t>(t)]) {
-        any_anti = true;
-      }
+      any_anti = i != ui && !hit[i];
     }
     if (!any_anti) continue;
     fp.used_as_max[static_cast<std::size_t>(ui)] = 1;
@@ -291,15 +288,13 @@ void fingerprint_matching_into(State& st, int clique_id,
       Rng rng = st.trial_rng(static_cast<std::uint64_t>(t));
       MinWiseHash hash(static_cast<std::uint64_t>(std::max(2, sz)), 0.5,
                        rng);
+      const std::uint8_t* hit =
+          fp.hit.data() + static_cast<std::size_t>(t) * szu;
       int best = -1;
       std::uint64_t best_h = 0;
       for (int i = 0; i < sz; ++i) {
         if (i == ui) continue;
-        if (fp.yv[static_cast<std::size_t>(i) * ktu +
-                  static_cast<std::size_t>(t)] ==
-            yk.maxima[static_cast<std::size_t>(t)]) {
-          continue;  // no anti-edge detected to u_i
-        }
+        if (hit[i]) continue;  // no anti-edge detected to u_i
         const auto hi = hash(static_cast<std::uint64_t>(i));
         if (best < 0 || hi < best_h || (hi == best_h && i < best)) {
           best = i;

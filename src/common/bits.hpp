@@ -6,8 +6,13 @@
 // other compilers (or -DCCG_BITS_FORCE_FALLBACK for testing) get the
 // plain-loop fallbacks below. The fallbacks are always compiled and unit
 // tested against the builtin path so they cannot rot.
+//
+// One multi-word kernel lives out of line in bits.cpp: and_popcount, the
+// exact |A ∩ B| of two bitsets that ComputeACD's oracle buddy count runs
+// on every high-high edge.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 namespace ccg::bits {
@@ -35,6 +40,17 @@ constexpr int ctz64(std::uint64_t x) noexcept {
   while ((x & 1u) == 0) {
     x >>= 1;
     ++n;
+  }
+  return n;
+}
+
+// See the dispatching and_popcount below.
+constexpr int and_popcount(const std::uint64_t* a_words,
+                           const std::int32_t* a_index, std::size_t count,
+                           const std::uint64_t* b) noexcept {
+  int n = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    n += popcount64(a_words[i] & b[a_index[i]]);
   }
   return n;
 }
@@ -72,5 +88,15 @@ constexpr int ctz64(std::uint64_t x) noexcept {
 constexpr int ffs64(std::uint64_t x) noexcept {
   return x == 0 ? 0 : ctz64(x) + 1;
 }
+
+// |A ∩ B| for two bitsets: A packed as its nonzero words (a_words[i] is
+// word a_index[i] of A, count of them), B as a plain word array. Only A's
+// nonzero words are read, so a row whose set bits cluster in a few words
+// costs those few words. On x86-64 GCC/clang the definition is cloned for
+// the popcnt instruction and picked at load time (except under
+// ThreadSanitizer, see bits.cpp), so builds at plain -O2 (no -mpopcnt) do
+// not pay a libgcc call per word.
+int and_popcount(const std::uint64_t* a_words, const std::int32_t* a_index,
+                 std::size_t count, const std::uint64_t* b) noexcept;
 
 }  // namespace ccg::bits

@@ -64,14 +64,18 @@ class Graph {
     return !bitset_row_.empty() &&
            bitset_row_[static_cast<std::size_t>(v)] >= 0;
   }
+  // v's adjacency bitset: bitset_words_per_row() words, bit u set iff u
+  // is a neighbor of v. Only valid when has_bitset_row(v).
+  const std::uint64_t* bitset_words(int v) const {
+    return bits_.data() + static_cast<std::size_t>(
+                              bitset_row_[static_cast<std::size_t>(v)]) *
+                              static_cast<std::size_t>(words_per_row_);
+  }
+  std::int64_t bitset_words_per_row() const { return words_per_row_; }
   // O(1) membership test against v's bitset row; only valid when
   // has_bitset_row(v).
   bool bitset_test(int v, int u) const {
-    const auto* words =
-        bits_.data() + static_cast<std::size_t>(
-                           bitset_row_[static_cast<std::size_t>(v)]) *
-                           static_cast<std::size_t>(words_per_row_);
-    return (words[static_cast<std::size_t>(u) >> 6] >>
+    return (bitset_words(v)[static_cast<std::size_t>(u) >> 6] >>
             (static_cast<unsigned>(u) & 63)) &
            1u;
   }

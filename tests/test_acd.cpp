@@ -1,11 +1,18 @@
 // Tests: almost-clique decomposition (Section 5.4, Prop 4.3, Def 4.2).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "acd/acd.hpp"
 #include "cluster/cluster_graph.hpp"
 #include "cluster/runtime.hpp"
+#include "common/assert.hpp"
+#include "exec/parallel_round.hpp"
 #include "graph/generators.hpp"
 
 namespace ccg::acd {
@@ -140,6 +147,223 @@ TEST(Acd, AnnotateDenseClassifiesCabals) {
   info = annotate_dense(rt, res, /*ell=*/2.0, 64, false, rng);
   for (int k = 0; k < res.num_cliques; ++k) {
     EXPECT_FALSE(info.is_cabal[k]);
+  }
+}
+
+// |N(u) ∪ N(v)| by sorted merge for every (u < v) edge, edges() order.
+std::vector<int> merged_union_sizes(const graph::Graph& h) {
+  std::vector<int> sizes;
+  std::vector<int> joint;
+  for (const auto& [u, v] : h.edges()) {
+    const auto nu = h.neighbors(u);
+    const auto nv = h.neighbors(v);
+    joint.clear();
+    std::set_union(nu.begin(), nu.end(), nv.begin(), nv.end(),
+                   std::back_inserter(joint));
+    sizes.push_back(static_cast<int>(joint.size()));
+  }
+  return sizes;
+}
+
+// Oracle ComputeACD from first principles, on the merged union sizes:
+// Lemma 5.8's filter and buddy predicate, the buddy-degree threshold,
+// then components of the candidate-restricted buddy graph in order of
+// their smallest vertex, dropping those below max(2, Delta/2). Returns
+// per-vertex buddy degrees and fills clique_of / members the way
+// compute_acd numbers them.
+std::vector<int> reference_oracle_acd(const graph::Graph& h, int delta,
+                                      double xi,
+                                      const std::vector<int>& union_size,
+                                      AcdResult* out) {
+  const int n = h.n();
+  const auto high = [&](int v) {
+    return h.degree(v) >= (1.0 - 2.0 * xi) * delta;
+  };
+  std::vector<std::vector<int>> buddies(static_cast<std::size_t>(n));
+  const auto edges = h.edges();
+  for (std::size_t e = 0; e < edges.size(); ++e) {
+    const auto& [u, v] = edges[e];
+    if (high(u) && high(v) && union_size[e] <= (1.0 + xi) * delta) {
+      buddies[static_cast<std::size_t>(u)].push_back(v);
+      buddies[static_cast<std::size_t>(v)].push_back(u);
+    }
+  }
+  std::vector<int> buddy_deg(static_cast<std::size_t>(n));
+  std::vector<char> candidate(static_cast<std::size_t>(n));
+  for (int v = 0; v < n; ++v) {
+    buddy_deg[static_cast<std::size_t>(v)] =
+        static_cast<int>(buddies[static_cast<std::size_t>(v)].size());
+    candidate[static_cast<std::size_t>(v)] =
+        buddy_deg[static_cast<std::size_t>(v)] >= (1.0 - 2.0 * xi) * delta;
+  }
+  out->clique_of.assign(static_cast<std::size_t>(n), -1);
+  out->members.clear();
+  std::vector<char> seen(static_cast<std::size_t>(n), 0);
+  for (int src = 0; src < n; ++src) {
+    if (!candidate[static_cast<std::size_t>(src)] ||
+        seen[static_cast<std::size_t>(src)]) {
+      continue;
+    }
+    std::vector<int> comp{src};
+    seen[static_cast<std::size_t>(src)] = 1;
+    for (std::size_t head = 0; head < comp.size(); ++head) {
+      for (const int u : buddies[static_cast<std::size_t>(comp[head])]) {
+        if (!candidate[static_cast<std::size_t>(u)] ||
+            seen[static_cast<std::size_t>(u)]) {
+          continue;
+        }
+        seen[static_cast<std::size_t>(u)] = 1;
+        comp.push_back(u);
+      }
+    }
+    if (static_cast<int>(comp.size()) < std::max(2, delta / 2)) continue;
+    std::sort(comp.begin(), comp.end());
+    for (const int v : comp) {
+      out->clique_of[static_cast<std::size_t>(v)] =
+          static_cast<int>(out->members.size());
+    }
+    out->members.push_back(comp);
+  }
+  out->num_cliques = static_cast<int>(out->members.size());
+  return buddy_deg;
+}
+
+// The oracle's exact buddy count runs two kernels — a bitset AND-popcount
+// when both rows carry an adjacency bitset (degree >= 64) and a stamp
+// probe otherwise. Each instance pins which kernels it reaches; every one
+// must reproduce the brute-force buddy graph and decomposition at every
+// worker count.
+TEST(Acd, OracleBuddyGraphMatchesBruteForce) {
+  enum class Kernels { kBitsetOnly, kStampOnly, kBoth };
+  struct Case {
+    std::string label;
+    graph::Graph g;
+    Kernels kernels;
+  };
+  const auto planted = [](int delta, std::uint64_t seed) {
+    graph::PlantedSpec spec;
+    spec.delta = delta;
+    spec.num_cliques = 4;
+    spec.anti_deg = 2;
+    spec.external_deg = delta / 10;
+    spec.num_sparse = 3 * delta;
+    spec.sparse_avg_deg = delta * 0.25;
+    Rng rng(seed);
+    return graph::make_planted_acd(spec, rng).g;
+  };
+  // Near-cliques of sizes 56, 66 and 80 with 3% of their edges dropped:
+  // degrees below, around and above 64, so the middle one mixes rows with
+  // and without a bitset. Cross edges between the cliques and a sparse
+  // background ride along, under shuffled ids so bitset rows spread over
+  // many words.
+  const auto straddle = [](std::uint64_t seed) {
+    Rng rng(seed);
+    const int sizes[] = {56, 66, 80};
+    const int dense = 56 + 66 + 80, n = dense + 200;
+    const auto id = rng.permutation(n);
+    graph::Graph g(n);
+    std::set<std::pair<int, int>> seen;
+    const auto add = [&](int u, int v) {
+      if (u == v) return;
+      const int x = id[static_cast<std::size_t>(u)];
+      const int y = id[static_cast<std::size_t>(v)];
+      if (seen.insert({std::min(x, y), std::max(x, y)}).second) {
+        g.add_edge(x, y);
+      }
+    };
+    int lo = 0;
+    for (const int size : sizes) {
+      for (int u = lo; u < lo + size; ++u) {
+        for (int v = u + 1; v < lo + size; ++v) {
+          if (!rng.next_bool(0.03)) add(u, v);
+        }
+        for (int r = 0; r < 2; ++r) {
+          add(u, static_cast<int>(rng.next_below(dense)));
+        }
+      }
+      lo += size;
+    }
+    for (int u = dense; u < n; ++u) {
+      for (int r = 0; r < 4; ++r) {
+        add(u, static_cast<int>(rng.next_below(static_cast<std::uint64_t>(n))));
+      }
+    }
+    g.finalize();
+    return g;
+  };
+  Case cases[] = {
+      {"delta256 (bitset rows only)", planted(256, 31), Kernels::kBitsetOnly},
+      {"delta40 (stamp probe only)", planted(40, 32), Kernels::kStampOnly},
+      {"straddles degree 64", straddle(33), Kernels::kBoth},
+  };
+  for (const auto& c : cases) {
+    const auto& g = c.g;
+    const auto cg = cluster::ClusterGraph::singleton(g);
+    net::Ledger ledger(cg.default_bandwidth());
+    cluster::Runtime rt(cg, ledger);
+    const double eps = 0.45;
+
+    // Which kernels the high-high edges reach at xi = 0.2: both rows
+    // with a bitset, one, or neither.
+    int kernel_edges[3] = {0, 0, 0};
+    for (const auto& [u, v] : g.edges()) {
+      if (std::min(g.degree(u), g.degree(v)) < 0.6 * rt.delta()) continue;
+      ++kernel_edges[g.has_bitset_row(u) + g.has_bitset_row(v)];
+    }
+    const std::string& label = c.label;
+    const bool bitset = c.kernels != Kernels::kStampOnly;
+    const bool stamp = c.kernels != Kernels::kBitsetOnly;
+    EXPECT_EQ(kernel_edges[2] > 0, bitset) << label;
+    EXPECT_EQ(kernel_edges[1] > 0, bitset && stamp) << label;
+    EXPECT_EQ(kernel_edges[0] > 0, stamp) << label;
+
+    // Sweep the buddy slack xi so the predicate's threshold crosses the
+    // bulk of the union sizes: an intersection count off by even one
+    // flips some buddy edge. eps only bounds the clique size check.
+    const auto unions = merged_union_sizes(g);
+    const int max_size = static_cast<int>((1.0 + 3.0 * eps) * rt.delta()) + 1;
+    int decompositions = 0;
+    for (int step = 1; step <= 20; ++step) {
+      const double xi = 0.02 * step;
+      AcdResult want;
+      const auto want_buddy_deg =
+          reference_oracle_acd(g, rt.delta(), xi, unions, &want);
+      bool want_too_large = false;
+      for (const auto& mem : want.members) {
+        want_too_large |= static_cast<int>(mem.size()) > max_size;
+      }
+      decompositions += !want_too_large && want.num_cliques > 0;
+      for (const int threads : {1, 2, 4}) {
+        exec::ParallelRound par(threads);
+        AcdParams params;
+        params.eps = eps;
+        params.xi = xi;
+        params.use_fingerprints = false;
+        params.par = &par;
+        StreamCtx streams(7);
+        AcdResult got;
+        AcdScratch scratch;
+        bool threw = false;
+        try {
+          compute_acd(rt, params, streams, &got, &scratch);
+        } catch (const ContractViolation&) {
+          threw = true;  // merged almost-cliques, as the reference says
+        }
+        const std::string at = label + " xi=" + std::to_string(xi) +
+                               " threads=" + std::to_string(threads);
+        EXPECT_EQ(scratch.buddy_deg, want_buddy_deg) << at;
+        ASSERT_EQ(threw, want_too_large) << at;
+        if (threw) continue;
+        EXPECT_EQ(got.clique_of, want.clique_of) << at;
+        ASSERT_EQ(got.num_cliques, want.num_cliques) << at;
+        for (int k = 0; k < want.num_cliques; ++k) {
+          EXPECT_EQ(got.members[static_cast<std::size_t>(k)],
+                    want.members[static_cast<std::size_t>(k)])
+              << at << " clique " << k;
+        }
+      }
+    }
+    EXPECT_GT(decompositions, 0) << label;
   }
 }
 

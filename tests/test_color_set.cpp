@@ -65,6 +65,53 @@ TEST(Bits, FallbackMatchesDispatchOnRandomWords) {
   }
 }
 
+// and_popcount: a packed row (nonzero words + indices) against a dense
+// row, dispatch vs fallback vs a per-bit count, at word-boundary sizes.
+TEST(Bits, AndPopcountMatchesFallbackAndBitCount) {
+  static_assert([] {
+    const std::uint64_t a[] = {0xFFull, 0x8000000000000001ull};
+    const std::int32_t ai[] = {0, 2};
+    const std::uint64_t b[] = {0x0Full, ~std::uint64_t{0}, 0x1ull};
+    return bits::fallback::and_popcount(a, ai, 2, b) == 5;
+  }());
+  Rng rng(92);
+  for (const int words : {1, 2, 3, 63, 64, 65, 124}) {
+    for (int rep = 0; rep < 50; ++rep) {
+      std::vector<std::uint64_t> a(static_cast<std::size_t>(words)),
+          b(static_cast<std::size_t>(words));
+      for (int i = 0; i < words; ++i) {
+        // Mostly-empty a (the packed case), dense b; every third word of a
+        // stays zero so packing really skips words.
+        a[static_cast<std::size_t>(i)] =
+            i % 3 == 0 ? 0 : rng.next_u64() & rng.next_u64();
+        b[static_cast<std::size_t>(i)] = rng.next_u64() | rng.next_u64();
+      }
+      std::vector<std::uint64_t> packed;
+      std::vector<std::int32_t> index;
+      for (int i = 0; i < words; ++i) {
+        if (a[static_cast<std::size_t>(i)] == 0) continue;
+        packed.push_back(a[static_cast<std::size_t>(i)]);
+        index.push_back(i);
+      }
+      int want = 0;
+      for (int bit = 0; bit < words * bits::kWordBits; ++bit) {
+        const auto w = static_cast<std::size_t>(bit / bits::kWordBits);
+        const auto m = std::uint64_t{1} << (bit % bits::kWordBits);
+        want += (a[w] & m) != 0 && (b[w] & m) != 0;
+      }
+      EXPECT_EQ(bits::and_popcount(packed.data(), index.data(),
+                                   packed.size(), b.data()),
+                want)
+          << words;
+      EXPECT_EQ(bits::fallback::and_popcount(packed.data(), index.data(),
+                                             packed.size(), b.data()),
+                want)
+          << words;
+    }
+  }
+  EXPECT_EQ(bits::and_popcount(nullptr, nullptr, 0, nullptr), 0);
+}
+
 // ---- ColorSet vs bool-vector reference model ----
 
 // Reference-model counterparts of every query, by color-by-color scan.

@@ -2,11 +2,15 @@
 // (Section 6, Algorithm 7).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "color/matching.hpp"
 #include "helpers.hpp"
+#include "sketch/fingerprint.hpp"
 
 namespace ccg::color {
 namespace {
@@ -114,6 +118,78 @@ TEST(FingerprintMatching, EmptyOnTrueClique) {
                                               31, 8.0);
   const auto pairs = fingerprint_matching(*f->st, 0);
   EXPECT_TRUE(pairs.empty());
+}
+
+// fingerprint_matching_into never materializes the neighborhood maxima
+// Y_v; it records hit[t][i] <=> Y_v[t] == Y_K[t] from the members that
+// attain Y_K[t]. Rebuild the dense Y_v from the draws left in the scratch
+// and check the equivalence cell by cell, on the full clique and on an
+// uncolored subset. The pairs themselves are pinned as golden values
+// (produced by the dense Y_v implementation) for this fixture.
+TEST(FingerprintMatching, HitMatrixMatchesNeighborhoodMaxima) {
+  color::Params params;
+  params.seed = 7;
+  auto f = ccg::testing::make_planted_fixture(cabal_spec(100, 2, 4),
+                                              params, 23, 8.0);
+  auto& st = *f->st;
+  const auto check_hits = [&](const std::vector<int>& members,
+                              const char* label) {
+    const auto& fp = st.scratch.fp;
+    const int sz = static_cast<int>(members.size());
+    const int k = static_cast<int>(fp.yk.maxima.size());
+    ASSERT_GT(k, 0) << label;
+    ASSERT_GE(fp.x.size(), static_cast<std::size_t>(sz) * k) << label;
+    ASSERT_GE(fp.hit.size(), static_cast<std::size_t>(sz) * k) << label;
+    std::map<int, int> local;
+    for (int i = 0; i < sz; ++i) {
+      local[members[static_cast<std::size_t>(i)]] = i;
+    }
+    const auto x = [&](int i, int t) {
+      return fp.x[static_cast<std::size_t>(i) * k + t];
+    };
+    int hits = 0, misses = 0;
+    for (int t = 0; t < k; ++t) {
+      int yk = sketch::kEmpty;
+      for (int i = 0; i < sz; ++i) yk = std::max(yk, x(i, t));
+      ASSERT_EQ(fp.yk.maxima[static_cast<std::size_t>(t)], yk) << label;
+      for (int i = 0; i < sz; ++i) {
+        int yv = -1;
+        const int v = members[static_cast<std::size_t>(i)];
+        for (const int u : st.h().neighbors(v)) {
+          const auto it = local.find(u);
+          if (it != local.end()) yv = std::max(yv, x(it->second, t));
+        }
+        const bool hit = fp.hit[static_cast<std::size_t>(t) * sz + i] != 0;
+        EXPECT_EQ(hit, yv == yk) << label << " trial " << t << " member " << i;
+        ++(hit ? hits : misses);
+      }
+    }
+    // Both outcomes occur, so the check is not vacuous.
+    EXPECT_GT(hits, 0) << label;
+    EXPECT_GT(misses, 0) << label;
+  };
+
+  const auto full = fingerprint_matching(st, 0);
+  check_hits(st.dc.acd.members[0], "full clique");
+  const std::vector<std::pair<int, int>> want_full = {
+      {52, 4},  {16, 14}, {61, 0},  {11, 24}, {71, 79}, {7, 25},
+      {8, 62},  {49, 66}, {6, 34},  {78, 90}, {10, 98}, {97, 68},
+      {22, 19}, {81, 40}, {82, 91}, {84, 59}, {32, 56}, {96, 17},
+      {23, 69}, {93, 85}, {21, 57}, {38, 5},  {26, 94}};
+  EXPECT_EQ(full, want_full);
+
+  std::vector<int> ids{0, 1, 2};
+  colorful_matching(st, ids, [](int) { return 6; });
+  const auto unc = st.uncolored_members(0);
+  ASSERT_EQ(unc.size(), 91u);
+  const auto sub = fingerprint_matching(st, 0, &unc);
+  check_hits(unc, "uncolored subset");
+  const std::vector<std::pair<int, int>> want_sub = {
+      {98, 10}, {24, 64}, {14, 16}, {87, 73}, {88, 72}, {68, 58},
+      {77, 61}, {19, 50}, {23, 51}, {80, 37}, {81, 21}, {59, 84},
+      {8, 54},  {30, 3},  {49, 66}, {83, 95}, {82, 92}, {76, 41},
+      {60, 31}, {26, 94}, {5, 33}};
+  EXPECT_EQ(sub, want_sub);
 }
 
 TEST(MatchingDeterminism, BitIdenticalAcrossThreadCounts) {
