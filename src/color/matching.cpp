@@ -3,12 +3,60 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <span>
 
 #include "common/hashing.hpp"
 #include "common/mathutil.hpp"
 #include "sketch/fingerprint.hpp"
 
 namespace ccg::color {
+
+namespace {
+
+// Per-color verdict buckets. A proposer v with candidate c has a colored
+// neighbor holding c iff some u in cb[c] is adjacent to v (exactly
+// Coloring::neighbor_uses), and it meets another proposer of c iff some
+// u in pb[c] is. About n/C vertices hold a color and a handful propose
+// it, far fewer than deg(v) in an almost-clique, so with v's adjacency
+// bitset row a verdict probes |cb[c]| + |pb[c]| bits instead of reading
+// N(v) twice. Building the buckets costs O(n + C), so a round builds them
+// only when its bitset-row proposers would scan more than that, and
+// returns whether it did. proposers(emit) calls emit(v, candidate(v)) for
+// the round's proposers (c < 0: not proposing).
+template <class ForEachProposer>
+bool build_verdict_buckets(State& st, ForEachProposer&& proposers) {
+  const auto& h = st.h();
+  std::int64_t bitset_scan = 0;
+  proposers([&](int v, int c) {
+    if (c >= 0 && h.has_bitset_row(v)) bitset_scan += h.degree(v);
+  });
+  if (bitset_scan <= h.n() + st.num_colors()) return false;
+  st.ph.cb.build(st.num_colors(), [&](auto&& emit) {
+    for (int v = 0; v < h.n(); ++v) emit(v, st.phi.get(v));
+  });
+  st.ph.pb.build(st.num_colors(), proposers);
+  return true;
+}
+
+// Bitset probes of a bucket verdict on color c, per tested row.
+int bucket_probes(const PhaseScratch& ph, int c) {
+  return static_cast<int>(ph.cb.of(c).size() + ph.pb.of(c).size());
+}
+
+// True iff some u in `us` with keep(u) is a neighbor of v; probes v's
+// adjacency bitset row, which v must have.
+template <class Keep>
+bool any_bitset_neighbor(const graph::Graph& h, int v,
+                         std::span<const int> us, Keep&& keep) {
+  for (const int u : us) {
+    if (keep(u) && h.bitset_test(v, u)) return true;
+  }
+  return false;
+}
+
+constexpr auto kAny = [](int) { return true; };
+
+}  // namespace
 
 void colorful_matching_run(State& st, const std::vector<int>& clique_ids,
                            const std::function<int(int)>& target) {
@@ -65,22 +113,41 @@ void colorful_matching_run(State& st, const std::vector<int>& clique_ids,
       }
     });
 
+    // Buckets (sequential): the proposers are the activated participants.
+    const bool buckets = build_verdict_buckets(st, [&](auto&& emit) {
+      for (const int v : participants) emit(v, sc.candidate(v));
+    });
+
     // Verdict (parallel shards): drop candidates clashing with a colored
     // neighbor or with an external candidate on the same color (symmetric
     // drop; conservative) — a pure read of the frozen candidate table.
+    // Each proposer takes the cheaper of two exactly equivalent tests:
+    // probe its bitset row with c's buckets, or scan N(v).
     auto& verdicts = sc.verdicts;
     verdicts.resize(participants.size());
     par.shards(total, [&](int, std::int64_t b, std::int64_t e) {
       for (std::int64_t i = b; i < e; ++i) {
         const int v = participants[static_cast<std::size_t>(i)];
         const int c = sc.candidate(v);
-        bool ok = c != TrialScratch::kNone && !st.phi.neighbor_uses(h, v, c);
+        bool ok = c != TrialScratch::kNone;
         if (ok) {
-          for (const int u : h.neighbors(v)) {
-            if (st.dc.clique_of(u) == st.dc.clique_of(v)) continue;
-            if (sc.candidate(u) == c) {
-              ok = false;
-              break;
+          const int kv = st.dc.clique_of(v);
+          const auto external = [&](int u) {
+            return st.dc.clique_of(u) != kv;
+          };
+          if (buckets && h.has_bitset_row(v) &&
+              bucket_probes(st.ph, c) < h.degree(v)) {
+            ok = !any_bitset_neighbor(h, v, st.ph.cb.of(c), kAny) &&
+                 !any_bitset_neighbor(h, v, st.ph.pb.of(c), external);
+          } else if (st.phi.neighbor_uses(h, v, c)) {
+            ok = false;
+          } else {
+            for (const int u : h.neighbors(v)) {
+              if (!external(u)) continue;
+              if (sc.candidate(u) == c) {
+                ok = false;
+                break;
+              }
             }
           }
         }
@@ -385,7 +452,19 @@ int color_anti_matching(State& st,
         sc.propose_at(pairs[static_cast<std::size_t>(pi)].second, c);
       }
     });
-    // Verdict (parallel shards) against the frozen candidate table.
+    // Buckets (sequential): the proposers are both endpoints of every
+    // live pair.
+    const bool buckets = build_verdict_buckets(st, [&](auto&& emit) {
+      for (const int pi : todo) {
+        const auto& [a, b2] = pairs[static_cast<std::size_t>(pi)];
+        emit(a, sc.candidate(a));
+        emit(b2, sc.candidate(b2));
+      }
+    });
+    // Verdict (parallel shards) against the frozen candidate table, by
+    // the cheaper of the bucket probes and the neighborhood scans.
+    // Conflicts with other pairs trying the same color yield to the
+    // smaller minimum-endpoint id.
     auto& verdicts = sc.verdicts;
     verdicts.resize(todo.size());
     par.shards(total, [&](int, std::int64_t b, std::int64_t e) {
@@ -393,20 +472,26 @@ int color_anti_matching(State& st,
         const int pi = todo[static_cast<std::size_t>(i)];
         const auto& [a, b2] = pairs[static_cast<std::size_t>(pi)];
         const int c = pair_cand[static_cast<std::size_t>(pi)];
-        bool ok = !st.phi.neighbor_uses(h, a, c) &&
-                  !st.phi.neighbor_uses(h, b2, c);
-        if (ok) {
-          // Conflicts with other pairs trying the same color: yield to the
-          // smaller minimum-endpoint id.
-          const int my_id = std::min(a, b2);
+        const int my_id = std::min(a, b2);
+        const auto earlier = [my_id](int u) { return u < my_id; };
+        bool ok = true;
+        if (buckets && h.has_bitset_row(a) && h.has_bitset_row(b2) &&
+            bucket_probes(st.ph, c) < h.degree(a) + h.degree(b2)) {
+          ok = !any_bitset_neighbor(h, a, st.ph.cb.of(c), kAny) &&
+               !any_bitset_neighbor(h, b2, st.ph.cb.of(c), kAny) &&
+               !any_bitset_neighbor(h, a, st.ph.pb.of(c), earlier) &&
+               !any_bitset_neighbor(h, b2, st.ph.pb.of(c), earlier);
+        } else {
+          ok = !st.phi.neighbor_uses(h, a, c) &&
+               !st.phi.neighbor_uses(h, b2, c);
           for (const int endpoint : {a, b2}) {
+            if (!ok) break;
             for (const int u : h.neighbors(endpoint)) {
-              if (sc.candidate(u) == c && u < my_id) {
+              if (earlier(u) && sc.candidate(u) == c) {
                 ok = false;
                 break;
               }
             }
-            if (!ok) break;
           }
         }
         verdicts[static_cast<std::size_t>(i)] = ok ? 1 : 0;

@@ -26,6 +26,10 @@ namespace ccg::color {
 // repeat count reaches target(k). Costs O(matching_rounds) H-rounds.
 // Round state lives in the State-owned scratch, so a warm call is
 // allocation-free; read per-clique repeats off st.palettes afterwards.
+// A proposer's verdict reads either its whole neighborhood or, when its
+// row has an adjacency bitset and that is cheaper, only the vertices
+// holding or proposing its candidate color (ColorBuckets); both tests are
+// exact, so the coloring does not depend on which one runs.
 void colorful_matching_run(State& st, const std::vector<int>& clique_ids,
                            const std::function<int(int)>& target);
 
@@ -58,7 +62,8 @@ void fingerprint_matching_charge(State& st);
 
 // Algorithm 6 steps 2-3: colors each anti-edge pair with a common
 // non-reserved color via synchronized pair-level trials. Returns the
-// number of pairs colored.
+// number of pairs colored. Verdicts pick between the same two exact tests
+// as colorful_matching_run, per pair.
 int color_anti_matching(State& st,
                         const std::vector<std::pair<int, int>>& pairs);
 

@@ -163,6 +163,43 @@ class VertexLists {
   int stride_ = 0;
 };
 
+// Vertices bucketed by color in CSR form: bucket c is items[off[c],
+// off[c+1]). build() is a counting sort in O(items + num_colors) with
+// grow-only buffers, so a warm rebuild allocates nothing. The matching
+// verdicts (matching.cpp) bucket the colored vertices and each round's
+// proposers this way and test a proposer only against its color's bucket.
+class ColorBuckets {
+ public:
+  // for_each(emit) must call emit(v, c) once per item, in the same order
+  // on both of its calls; items with c < 0 (uncolored, no candidate) are
+  // skipped. Items keep that order inside their bucket.
+  template <class ForEach>
+  void build(int num_colors, ForEach&& for_each) {
+    off_.assign(static_cast<std::size_t>(num_colors) + 2, 0);
+    for_each([&](int, int c) {
+      CCG_ASSERT(c < num_colors);
+      if (c >= 0) ++off_[static_cast<std::size_t>(c) + 2];
+    });
+    for (std::size_t i = 2; i < off_.size(); ++i) off_[i] += off_[i - 1];
+    items_.resize(static_cast<std::size_t>(off_.back()));
+    for_each([&](int v, int c) {
+      if (c >= 0) {
+        items_[static_cast<std::size_t>(
+            off_[static_cast<std::size_t>(c) + 1]++)] = v;
+      }
+    });
+  }
+  std::span<const int> of(int c) const {
+    const int b = off_[static_cast<std::size_t>(c)];
+    const int e = off_[static_cast<std::size_t>(c) + 1];
+    return {items_.data() + b, static_cast<std::size_t>(e - b)};
+  }
+
+ private:
+  std::vector<int> off_;    // num_colors + 2 entries; [0, num_colors] live
+  std::vector<int> items_;
+};
+
 // Phase-orchestration buffers for the pipeline drivers (pipeline.cpp,
 // prep_mct.cpp, lowdeg.cpp): the id lists, split buckets and per-vertex
 // lists that were function-local vectors, hoisted so the high/low-degree
@@ -194,6 +231,9 @@ struct PhaseScratch {
   std::vector<int> am_todo, am_cand, am_next;
   std::vector<std::pair<std::int64_t, int>> keyed;  // (clique*C+color, v)
   std::vector<int> chosen;
+  // Verdict buckets of both matchings: colored vertices by color and
+  // this round's proposers by candidate color.
+  ColorBuckets cb, pb;
   std::vector<char> flags, flags2, flags3;  // per-position markers
   GroupLists putsets;         // put-aside sets P_K
   GroupLists putq;            // donation candidate sets Q_K

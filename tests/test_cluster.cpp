@@ -3,10 +3,12 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 
 #include "cluster/cluster_graph.hpp"
 #include "cluster/runtime.hpp"
 #include "cluster/validate.hpp"
+#include "exec/parallel_round.hpp"
 #include "graph/generators.hpp"
 
 namespace ccg::cluster {
@@ -192,6 +194,58 @@ TEST(Validate, ProperColorings) {
   EXPECT_TRUE(is_proper_partial(h, partial));
   EXPECT_EQ(count_uncolored(partial), 2);
   EXPECT_THROW(check_proper_total(h, partial, 3), ContractViolation);
+}
+
+// The sharded total check gives the inline verdict and names the lowest
+// failing vertex whatever the worker count, so its messages are
+// deterministic.
+TEST(Validate, ShardedTotalCheckNamesLowestFailingVertex) {
+  Rng rng(29);
+  const auto h = graph::gnm(3000, 12000, rng);
+  const int num_colors = h.max_degree() + 1;
+  std::vector<int> color(static_cast<std::size_t>(h.n()), kUncolored);
+  for (int v = 0; v < h.n(); ++v) {  // greedy: proper and total
+    std::set<int> used;
+    for (const int u : h.neighbors(v)) used.insert(color[u]);
+    int c = 0;
+    while (used.count(c)) ++c;
+    color[v] = c;
+  }
+  exec::ParallelRound one(1), four(4);
+  const auto message = [&](const std::vector<int>& col,
+                           exec::ParallelRound* par) -> std::string {
+    try {
+      check_proper_total(h, col, num_colors, par);
+    } catch (const ContractViolation& e) {
+      return e.what();
+    }
+    return "";
+  };
+  const auto expect_all = [&](const std::vector<int>& col, bool proper,
+                              const std::string& needle) {
+    const std::string inline_msg = message(col, nullptr);
+    EXPECT_NE(inline_msg.find(needle), std::string::npos) << inline_msg;
+    for (exec::ParallelRound* par : {&one, &four}) {
+      EXPECT_EQ(is_proper_total(h, col, num_colors, par), proper);
+      EXPECT_EQ(message(col, par), inline_msg);
+    }
+    EXPECT_EQ(is_proper_total(h, col, num_colors), proper);
+  };
+  expect_all(color, true, "");
+
+  auto bad = color;
+  ASSERT_GT(h.degree(2400), 0);
+  const int u = h.neighbors(2400)[0];
+  bad[2400] = color[u];            // monochromatic edge
+  bad[2900] = num_colors;          // out of range
+  bad[1700] = kUncolored;
+  bad[2100] = kUncolored;
+  expect_all(bad, false, "vertex 1700 left uncolored");
+  bad[1700] = color[1700];
+  bad[2100] = color[2100];
+  expect_all(bad, false, "vertex 2900 color out of range");
+  bad[2900] = color[2900];
+  expect_all(bad, false, "coloring is not proper");
 }
 
 TEST(Ledger, EpochDepthDrivesGRounds) {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <queue>
 #include <string>
 
@@ -236,6 +237,49 @@ TEST(LowDeg, PathAndCycleTrivialCases) {
     const auto res = lowdeg::color_low_degree(rt, lowdeg_params(101, 19));
     cluster::check_proper_total(g, res.colors, res.num_colors);
     EXPECT_EQ(res.num_colors, 3);
+  }
+}
+
+// Golden pin of the polylogarithmic regime's matching callers (colorful
+// matching in both clique phases, anti-matching in the cabal phase),
+// taken from the scan-only verdicts at threads {1,2,4}. Delta = 50 rows
+// carry no adjacency bitset, so the verdicts scan; Delta = 100 rows do,
+// so they probe the per-color buckets. Both must give the same coloring.
+TEST(LowDeg, MatchingVerdictPins) {
+  struct Pin {
+    int delta;
+    std::uint64_t graph_seed;
+    std::uint64_t colors_hash;
+    std::int64_t h_rounds;
+  };
+  for (const Pin& pin : {Pin{50, 61, 15075093961891897474ull, 50},
+                         Pin{100, 67, 4807025052831096541ull, 81}}) {
+    Rng rng(pin.graph_seed);
+    graph::PlantedSpec spec;
+    spec.delta = pin.delta;
+    spec.num_cliques = 3;
+    spec.anti_deg = 4;
+    spec.external_deg = 8;
+    spec.num_sparse = 150;
+    spec.sparse_avg_deg = 12.0;
+    const auto planted = graph::make_planted_acd(spec, rng);
+    const auto cg = cluster::ClusterGraph::singleton(planted.g);
+    for (const int threads : {1, 2, 4}) {
+      net::Ledger ledger(cg.default_bandwidth());
+      cluster::Runtime rt(cg, ledger);
+      auto params = lowdeg_params(planted.g.n(), 29);
+      params.threads = threads;
+      const auto res = lowdeg::color_low_degree(rt, params);
+      cluster::check_proper_total(planted.g, res.colors, res.num_colors);
+      std::uint64_t h = 1469598103934665603ull;
+      for (const int c : res.colors) {
+        h = (h ^ static_cast<std::uint64_t>(c + 1)) * 1099511628211ull;
+      }
+      EXPECT_EQ(h, pin.colors_hash)
+          << "delta " << pin.delta << " threads " << threads;
+      EXPECT_EQ(res.h_rounds, pin.h_rounds)
+          << "delta " << pin.delta << " threads " << threads;
+    }
   }
 }
 

@@ -3,14 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "ccg/solver.hpp"
 #include "color/matching.hpp"
 #include "helpers.hpp"
 #include "sketch/fingerprint.hpp"
+#include "svc/jobspec.hpp"
+#include "svc/service.hpp"
 
 namespace ccg::color {
 namespace {
@@ -246,6 +251,189 @@ TEST(ColorAntiMatching, ColorsAllPairsProperly) {
   }
   // M_K equals the number of pairs (each color counted once extra).
   EXPECT_EQ(st.palettes[0].repeats(), static_cast<int>(pairs.size()));
+}
+
+// ---- Golden pins of both matchings' verdicts ----
+//
+// The verdicts test a proposer against its color's buckets (colored
+// vertices, this round's proposers) when its adjacency bitset row makes
+// that cheaper than scanning N(v), and scan otherwise. Both tests are
+// exact, so the colorings and palettes must equal those of the scan-only
+// implementation, pinned here from it at threads {1,2,4}.
+
+std::uint64_t fnv_mix(std::uint64_t h, std::int64_t x) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= static_cast<std::uint64_t>(x >> (8 * i)) & 0xffu;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+std::uint64_t coloring_hash(const State& st) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const int c : st.phi.vec()) h = fnv_mix(h, c);
+  return h;
+}
+
+std::vector<int> repeats_of(const State& st, int cliques) {
+  std::vector<int> out;
+  for (int k = 0; k < cliques; ++k) {
+    out.push_back(st.palettes[static_cast<std::size_t>(k)].repeats());
+  }
+  return out;
+}
+
+struct MatchingPin {
+  const char* label;
+  graph::PlantedSpec spec;
+  std::uint64_t graph_seed;
+  int target;
+  // After colorful_matching_run:
+  std::uint64_t colorful_hash;
+  std::vector<int> colorful_repeats;
+  // After color_anti_matching on every clique's fingerprint pairs:
+  int anti_pairs;
+  std::uint64_t anti_hash;
+  std::vector<int> anti_repeats;
+};
+
+void run_pin(const MatchingPin& pin) {
+  for (const int threads : {1, 2, 4}) {
+    SCOPED_TRACE(std::string(pin.label) + " threads " +
+                 std::to_string(threads));
+    color::Params params;
+    params.seed = 31;
+    auto f = ccg::testing::make_planted_fixture(pin.spec, params,
+                                                pin.graph_seed, 4.0, threads);
+    auto& st = *f->st;
+    const int cliques = pin.spec.num_cliques;
+    std::vector<int> ids;
+    for (int k = 0; k < cliques; ++k) ids.push_back(k);
+    const int target = pin.target;
+    colorful_matching_run(st, ids, [target](int) { return target; });
+    cluster::check_proper_partial(st.h(), st.phi.vec());
+    EXPECT_EQ(coloring_hash(st), pin.colorful_hash);
+    EXPECT_EQ(repeats_of(st, cliques), pin.colorful_repeats);
+
+    std::vector<std::pair<int, int>> pairs;
+    for (const int k : ids) {
+      const auto unc = st.uncolored_members(k);
+      fingerprint_matching_into(st, k, &unc, /*charge=*/false, &pairs);
+    }
+    EXPECT_EQ(static_cast<int>(pairs.size()), pin.anti_pairs);
+    EXPECT_EQ(color_anti_matching(st, pairs), pin.anti_pairs);
+    cluster::check_proper_partial(st.h(), st.phi.vec());
+    EXPECT_EQ(coloring_hash(st), pin.anti_hash);
+    EXPECT_EQ(repeats_of(st, cliques), pin.anti_repeats);
+  }
+}
+
+graph::PlantedSpec pin_spec(int delta, int cliques, int anti, int ext) {
+  graph::PlantedSpec spec;
+  spec.delta = delta;
+  spec.num_cliques = cliques;
+  spec.anti_deg = anti;
+  spec.external_deg = ext;
+  return spec;
+}
+
+// Delta = 256: every clique row carries a bitset and the buckets are far
+// smaller than the degree, so the verdicts take the bucket path.
+TEST(MatchingPins, PlantedDelta256BucketPath) {
+  const MatchingPin pin{"delta256",
+                        pin_spec(256, 3, 4, 12),
+                        41,
+                        12,
+                        9092398916717596587ull,
+                        {5, 5, 5},
+                        110,
+                        14076747317444145195ull,
+                        {40, 42, 43}};
+  run_pin(pin);
+}
+
+// Delta = 40: no row reaches the bitset threshold, so every verdict scans.
+TEST(MatchingPins, PlantedDelta40ScanPath) {
+  const auto spec = pin_spec(40, 3, 4, 6);
+  {
+    auto probe = ccg::testing::make_planted_fixture(spec, {}, 43, 4.0, 1);
+    for (int v = 0; v < probe->st->h().n(); ++v) {
+      ASSERT_FALSE(probe->st->h().has_bitset_row(v)) << v;
+    }
+  }
+  const MatchingPin pin{"delta40",
+                        spec,
+                        43,
+                        6,
+                        4237831531928446331ull,
+                        {6, 6, 3},
+                        27,
+                        1413943751211338523ull,
+                        {13, 14, 15}};
+  run_pin(pin);
+}
+
+// Delta = 64: most clique rows carry a bitset and a few fall just short,
+// so one round's verdicts take both paths (the bitset rows alone scan far
+// more than the n + C a bucket build costs).
+TEST(MatchingPins, MixedRowsTakeBothPaths) {
+  const auto spec = pin_spec(64, 3, 4, 8);
+  {
+    auto probe = ccg::testing::make_planted_fixture(spec, {}, 17, 4.0, 1);
+    const auto& h = probe->st->h();
+    int with = 0, without = 0;
+    std::int64_t bitset_degrees = 0;
+    for (int v = 0; v < h.n(); ++v) {
+      if (probe->planted.clique_of[static_cast<std::size_t>(v)] < 0) continue;
+      if (h.has_bitset_row(v)) {
+        ++with;
+        bitset_degrees += h.degree(v);
+      } else {
+        ++without;
+      }
+    }
+    ASSERT_GE(with, 100);
+    ASSERT_GE(without, 8);
+    ASSERT_GT(bitset_degrees, 8 * (h.n() + probe->st->num_colors()));
+  }
+  const MatchingPin pin{"delta64",
+                        spec,
+                        17,
+                        8,
+                        2245386568058570587ull,
+                        {8, 7, 2},
+                        41,
+                        16525420444361661467ull,
+                        {23, 17, 18}};
+  run_pin(pin);
+}
+
+// The anti-matching's failure path: this fingerprint-ACD solve leaves
+// pairs uncolored (the known defect perfbench/README.md reproduces) and
+// must keep failing the same way, with the same uncolored count.
+TEST(MatchingPins, AntiMatchingFailureReproducer) {
+  const auto inst = svc::build_instance(svc::parse_job_flags(
+      "--gen planted --delta 256 --cliques 3 --ext 24 --anti 2 --sparse 300 "
+      "--layout tree --cluster-size 4 --graph-seed 889352101"));
+  ASSERT_TRUE(inst.error.empty()) << inst.error;
+  for (const int threads : {1, 2}) {
+    Solver solver;
+    Options opt;
+    opt.algo = Algo::kHighDegree;
+    opt.eps = 0.2;
+    opt.seed = 941314231;
+    opt.threads = threads;
+    const auto out = solver.solve(Problem::cluster(inst.cg), opt);
+    EXPECT_EQ(out.error.code, ErrorCode::kInternal) << "threads " << threads;
+    const std::string& msg = out.error.message;
+    EXPECT_EQ(msg.rfind("CCG_CHECK failed: (todo.empty()) at ", 0), 0u)
+        << msg;
+    EXPECT_NE(msg.find("src/color/matching.cpp:"), std::string::npos) << msg;
+    const std::string tail = " — anti-matching pairs left uncolored";
+    ASSERT_GE(msg.size(), tail.size());
+    EXPECT_EQ(msg.substr(msg.size() - tail.size()), tail) << msg;
+    EXPECT_EQ(out.uncolored, 173) << "threads " << threads;
+  }
 }
 
 }  // namespace
