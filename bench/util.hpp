@@ -95,8 +95,8 @@ inline RunOutput run_pipeline(const graph::Graph& h,
   return out;
 }
 
-// Calibrated pipeline parameters for benches (EXPERIMENTS.md records
-// these): oracle ACD + unmeasured bits by default so large n stays fast;
+// Calibrated pipeline parameters for benches (DESIGN.md substitution #1
+// and its experiment index record these): oracle ACD + unmeasured bits by default so large n stays fast;
 // the bandwidth-audit and ablation benches flip both switches on.
 inline color::Params bench_params(int n, std::uint64_t seed,
                                   bool full_stack = false) {

@@ -1,7 +1,9 @@
 #include "acd/acd.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <string>
+#include <utility>
 
 #include "common/bits.hpp"
 #include "common/mathutil.hpp"
@@ -21,8 +23,8 @@ void attempt(cluster::Runtime& rt, const AcdParams& params,
   // Buddy-predicate slack. The paper cascades xi' = 2 xi / c (Lemma 5.8)
   // purely for the union-bound bookkeeping; operationally a single xi at
   // the eps scale realizes the same predicate, and planted instances need
-  // (2 e_v + 2 a_v) <= ~xi * Delta to be detected (calibration note in
-  // EXPERIMENTS.md).
+  // (2 e_v + 2 a_v) <= ~xi * Delta to be detected (DESIGN.md
+  // substitution #1).
   const double xi = params.xi > 0 ? params.xi : params.eps;
 
   sketch::CountOptions opt;
@@ -31,7 +33,6 @@ void attempt(cluster::Runtime& rt, const AcdParams& params,
 
   res.reset(n);
 
-  const auto& edges = s.edges;
   // Lemma 5.8's buddy predicate on an edge's joint neighborhood size.
   const double buddy_limit = (1.0 + xi) * delta;
 
@@ -62,14 +63,7 @@ void attempt(cluster::Runtime& rt, const AcdParams& params,
         res.degree_est[static_cast<std::size_t>(v)] >=
         (1.0 - 2.0 * xi) * delta;
   }
-  const auto both_high = [&](int u, int v) {
-    return s.high[static_cast<std::size_t>(u)] &&
-           s.high[static_cast<std::size_t>(v)];
-  };
 
-  // Per-edge buddy flag (edges() order), read by both CSR passes below.
-  auto& buddy = s.buddy;
-  buddy.resize(edges.size());
   if (params.use_fingerprints) {
     // Step 2: joint-neighborhood estimates from a fresh sampling (the
     // paper samples new variables for the union step).
@@ -79,101 +73,194 @@ void attempt(cluster::Runtime& rt, const AcdParams& params,
     sketch::neighborhood_counts_into(
         rt, s.raw, [](int, int) { return true; }, opt, &s.counts);
     sketch::edge_union_estimates_into(rt, s.counts, opt, &s.union_est);
-    for (std::size_t e = 0; e < edges.size(); ++e) {
-      buddy[e] = both_high(edges[e].first, edges[e].second) &&
-                 s.union_est[e] <= buddy_limit;
-    }
-  } else {
-    // Exact |N(u) ∪ N(v)| = deg u + deg v - |N(u) ∩ N(v)|, needed only on
-    // high-high edges (any other edge fails the filter above). When both
-    // rows have an adjacency bitset (degree >= 64, under Graph's memory
-    // cap) the intersection is an AND-popcount of u's row, packed once
-    // per row down to its nonzero words, against v's row. Rows without a
-    // bitset fall back to stamping N(u) (once per row: edges() is grouped
-    // by u) and probing N(v) against the stamps.
-    // Sharded over edge ranges by the round engine when one is supplied:
-    // each worker keeps its own packed row and stamp array (a shard that
-    // starts mid-row simply redoes that row), and flags are per-edge
-    // disjoint, so the result is partition-independent.
-    const auto num_workers =
-        static_cast<std::size_t>(params.par ? params.par->workers() : 1);
-    if (s.workers.size() < num_workers) s.workers.resize(num_workers);
-    exec::shards_or_inline(
-        params.par, static_cast<std::int64_t>(edges.size()),
-        [&](int w, std::int64_t b, std::int64_t e) {
-          auto& ws = s.workers[static_cast<std::size_t>(w)];
-          ws.stamp.assign(static_cast<std::size_t>(n), -1);
-          int packed = -1, stamped = -1;
-          const auto common_neighbors = [&](int u, int v) {
-            if (h.has_bitset_row(u) && h.has_bitset_row(v)) {
-              if (packed != u) {
-                packed = u;
-                ws.row_words.clear();
-                ws.row_index.clear();
-                const auto* row = h.bitset_words(u);
-                for (std::int64_t i = 0; i < h.bitset_words_per_row(); ++i) {
-                  if (row[i] == 0) continue;
-                  ws.row_words.push_back(row[i]);
-                  ws.row_index.push_back(static_cast<std::int32_t>(i));
-                }
-              }
-              return bits::and_popcount(ws.row_words.data(),
-                                        ws.row_index.data(),
-                                        ws.row_words.size(),
-                                        h.bitset_words(v));
-            }
-            if (stamped != u) {
-              stamped = u;
-              for (const int x : h.neighbors(u)) {
-                ws.stamp[static_cast<std::size_t>(x)] = u;
-              }
-            }
-            int common = 0;
-            for (const int x : h.neighbors(v)) {
-              common += (ws.stamp[static_cast<std::size_t>(x)] == u);
-            }
-            return common;
-          };
-          for (std::int64_t idx = b; idx < e; ++idx) {
-            const auto& [u, v] = edges[static_cast<std::size_t>(idx)];
-            char is_buddy = 0;
-            if (both_high(u, v)) {
-              const int joint =
-                  h.degree(u) + h.degree(v) - common_neighbors(u, v);
-              is_buddy = joint <= buddy_limit;
-            }
-            buddy[static_cast<std::size_t>(idx)] = is_buddy;
-          }
-        });
-    rt.charge(3, 2 * params.t + 16);
   }
 
-  // Buddy edges, stored as a flat CSR built by count -> prefix-sum ->
-  // fill, so the whole build is allocation-free on warm scratch.
-  s.buddy_deg.assign(static_cast<std::size_t>(n), 0);
-  for (std::size_t e = 0; e < edges.size(); ++e) {
-    if (buddy[e]) {
-      ++s.buddy_deg[static_cast<std::size_t>(edges[e].first)];
-      ++s.buddy_deg[static_cast<std::size_t>(edges[e].second)];
+  // Edge index of row u's upper neighbors (v > u) in h.edges() order,
+  // which indexes buddy[] and union_est[]: upper_off[u] counts the upper
+  // neighbors of the rows before u. The rows are then cut into one
+  // contiguous range per worker, balanced by the upper degree of high
+  // rows: only high-high edges cost a kernel call, and E1-like graphs put
+  // every dense row at the front.
+  const auto parts = params.par ? params.par->workers() : 1;
+  const auto P = static_cast<std::size_t>(parts);
+  const auto un = static_cast<std::size_t>(n);
+  s.upper_off.resize(un + 1);
+  s.upper_off[0] = 0;
+  for (int u = 0; u < n; ++u) {
+    const auto nb = h.neighbors(u);
+    s.upper_off[static_cast<std::size_t>(u) + 1] =
+        s.upper_off[static_cast<std::size_t>(u)] +
+        static_cast<int>(nb.end() - std::upper_bound(nb.begin(), nb.end(), u));
+  }
+  const auto row_work = [&](std::size_t u) -> std::int64_t {
+    return 1 + (s.high[u] ? s.upper_off[u + 1] - s.upper_off[u] : 0);
+  };
+  std::int64_t work = 0;
+  for (std::size_t u = 0; u < un; ++u) work += row_work(u);
+  s.range_begin.resize(P + 1);
+  {
+    // Range p starts at the first row whose prefix reaches p/P of the work.
+    std::size_t p = 0;
+    std::int64_t prefix = 0;
+    for (std::size_t u = 0; u < un; ++u) {
+      while (p < P && prefix * parts >= work * static_cast<std::int64_t>(p)) {
+        s.range_begin[p++] = static_cast<int>(u);
+      }
+      prefix += row_work(u);
     }
+    while (p <= P) s.range_begin[p++] = n;
   }
-  s.buddy_off.assign(static_cast<std::size_t>(n) + 1, 0);
-  for (int v = 0; v < n; ++v) {
-    s.buddy_off[static_cast<std::size_t>(v) + 1] =
-        s.buddy_off[static_cast<std::size_t>(v)] +
-        s.buddy_deg[static_cast<std::size_t>(v)];
-  }
-  s.buddy_cur.assign(s.buddy_off.begin(), s.buddy_off.end() - 1);
-  s.buddy_adj.resize(static_cast<std::size_t>(s.buddy_off.back()));
-  for (std::size_t e = 0; e < edges.size(); ++e) {
-    if (buddy[e]) {
-      const auto& [u, v] = edges[e];
-      s.buddy_adj[static_cast<std::size_t>(
-          s.buddy_cur[static_cast<std::size_t>(u)]++)] = v;
-      s.buddy_adj[static_cast<std::size_t>(
-          s.buddy_cur[static_cast<std::size_t>(v)]++)] = u;
+
+  // Pass A, one range per worker: the per-edge buddy flags, each row's
+  // own upper-buddy count (parked in buddy_deg) and, per range, how many
+  // lower buddies the range's rows give every vertex (lower_cur row p).
+  // Every write lands in the range's rows or its own lower_cur row, so
+  // the flags and counts are partition-independent.
+  if (s.workers.size() < P) s.workers.resize(P);
+  s.buddy.resize(static_cast<std::size_t>(s.upper_off[un]));
+  s.buddy_deg.resize(un);
+  s.lower_cur.assign(P * un, 0);
+  // joint = deg u + deg v - common is an integer, so joint <= buddy_limit
+  // exactly when common >= deg u + deg v - floor(buddy_limit).
+  const auto floor_limit =
+      static_cast<std::int64_t>(std::floor(buddy_limit));
+  const auto words_per_row =
+      static_cast<std::size_t>(h.bitset_words_per_row());
+  const auto for_ranges = [&](auto&& range) {
+    exec::shards_or_inline(
+        params.par, parts, [&](int w, std::int64_t b, std::int64_t e) {
+          for (std::int64_t p = b; p < e; ++p) {
+            range(s.workers[static_cast<std::size_t>(w)],
+                  static_cast<std::size_t>(p));
+          }
+        });
+  };
+  for_ranges([&](AcdScratch::Worker& ws, std::size_t p) {
+    int* lower = s.lower_cur.data() + p * un;
+    if (!params.use_fingerprints) {
+      ws.stamp.assign(un, -1);
+      ws.row_words.resize(words_per_row);
+      ws.row_index.resize(words_per_row);
+      ws.row_rest.resize(words_per_row);
     }
+    for (int u = s.range_begin[p]; u < s.range_begin[p + 1]; ++u) {
+      const auto uu = static_cast<std::size_t>(u);
+      const auto nb = h.neighbors(u);
+      const int e0 = s.upper_off[uu];
+      const int up = s.upper_off[uu + 1] - e0;
+      const int* upper =
+          nb.data() + (nb.size() - static_cast<std::size_t>(up));
+      char* flag = s.buddy.data() + e0;
+      int own = 0;
+      if (!s.high[uu]) {
+        std::fill(flag, flag + up, char{0});
+      } else if (params.use_fingerprints) {
+        for (int j = 0; j < up; ++j) {
+          flag[j] = s.high[static_cast<std::size_t>(upper[j])] &&
+                    s.union_est[static_cast<std::size_t>(e0 + j)] <=
+                        buddy_limit;
+        }
+      } else {
+        // Exact |N(u) ∩ N(v)| >= need, needed only on high-high edges.
+        // When both rows have an adjacency bitset (degree >= 64, under
+        // Graph's memory cap), u's row is packed once, densest words
+        // first, and each edge is decided from as few of them as it
+        // takes. Rows without a bitset stamp N(u) once and probe N(v).
+        std::size_t packed = 0;
+        bool is_packed = false, stamped = false;
+        const bool u_bits = h.has_bitset_row(u);
+        for (int j = 0; j < up; ++j) {
+          const int v = upper[j];
+          char is_buddy = 0;
+          if (s.high[static_cast<std::size_t>(v)]) {
+            const auto need = static_cast<int>(
+                static_cast<std::int64_t>(h.degree(u)) + h.degree(v) -
+                floor_limit);
+            if (u_bits && h.has_bitset_row(v)) {
+              if (!is_packed) {
+                is_packed = true;
+                packed = bits::pack_densest_first(
+                    h.bitset_words(u), words_per_row, ws.row_words.data(),
+                    ws.row_index.data(), ws.row_rest.data());
+              }
+              is_buddy = bits::and_popcount_at_least(
+                  ws.row_words.data(), ws.row_index.data(),
+                  ws.row_rest.data(), packed, h.bitset_words(v), need);
+            } else {
+              if (!stamped) {
+                stamped = true;
+                for (const int x : nb) {
+                  ws.stamp[static_cast<std::size_t>(x)] = u;
+                }
+              }
+              int common = 0;
+              for (const int x : h.neighbors(v)) {
+                common += (ws.stamp[static_cast<std::size_t>(x)] == u);
+              }
+              is_buddy = common >= need;
+            }
+          }
+          flag[j] = is_buddy;
+        }
+      }
+      for (int j = 0; j < up; ++j) {
+        if (flag[j]) {
+          ++own;
+          ++lower[static_cast<std::size_t>(upper[j])];
+        }
+      }
+      s.buddy_deg[uu] = own;
+    }
+  });
+  if (!params.use_fingerprints) rt.charge(3, 2 * params.t + 16);
+
+  // Serial prefix, O(n * parts): buddy_off from the degrees, then each
+  // range's cursor into v's lower-buddy block (ranges in row order, so
+  // lower buddies come out ascending) and buddy_cur[v], the start of v's
+  // own upper buddies after them. This is the order of a serial fill
+  // over h.edges().
+  s.buddy_off.resize(un + 1);
+  s.buddy_cur.resize(un);
+  int off = 0;
+  for (std::size_t v = 0; v < un; ++v) {
+    s.buddy_off[v] = off;
+    int cur = off;
+    for (std::size_t p = 0; p < P; ++p) {
+      const int lower = s.lower_cur[p * un + v];
+      s.lower_cur[p * un + v] = cur;
+      cur += lower;
+    }
+    s.buddy_cur[v] = cur;
+    s.buddy_deg[v] += cur - off;
+    off += s.buddy_deg[v];
   }
+  s.buddy_off[un] = off;
+  s.buddy_adj.resize(static_cast<std::size_t>(off));
+
+  // Pass C, same ranges: each buddy edge (u, v) writes v into u's upper
+  // block and u into v's lower block at the range's cursor. Slots are
+  // disjoint across ranges, so the fill is partition-independent.
+  for_ranges([&](AcdScratch::Worker&, std::size_t p) {
+    int* lower = s.lower_cur.data() + p * un;
+    for (int u = s.range_begin[p]; u < s.range_begin[p + 1]; ++u) {
+      const auto uu = static_cast<std::size_t>(u);
+      int pos = s.buddy_cur[uu];
+      if (pos == s.buddy_off[uu + 1]) continue;
+      const auto nb = h.neighbors(u);
+      const int e0 = s.upper_off[uu];
+      const int up = s.upper_off[uu + 1] - e0;
+      const int* upper =
+          nb.data() + (nb.size() - static_cast<std::size_t>(up));
+      const char* flag = s.buddy.data() + e0;
+      for (int j = 0; j < up; ++j) {
+        if (!flag[j]) continue;
+        const int v = upper[j];
+        s.buddy_adj[static_cast<std::size_t>(pos++)] = v;
+        s.buddy_adj[static_cast<std::size_t>(
+            lower[static_cast<std::size_t>(v)]++)] = u;
+      }
+    }
+  });
   const auto buddies = [&](int v) {
     return std::make_pair(s.buddy_off[static_cast<std::size_t>(v)],
                           s.buddy_off[static_cast<std::size_t>(v) + 1]);
@@ -254,15 +341,6 @@ void compute_acd(cluster::Runtime& rt, const AcdParams& params,
   const int delta = rt.delta();
   const int max_size =
       static_cast<int>((1.0 + 3.0 * params.eps) * delta) + 1;
-  // The (u < v) edge list in edges() order, walked off the CSR rows into
-  // grow-only scratch once for all attempts.
-  const auto& h = rt.h();
-  scratch->edges.clear();
-  for (int u = 0; u < h.n(); ++u) {
-    for (const int v : h.neighbors(u)) {
-      if (v > u) scratch->edges.emplace_back(u, v);
-    }
-  }
   for (int tries = 0; tries < 3; ++tries) {
     attempt(rt, params, streams, *out, *scratch);
     bool ok = true;
@@ -275,6 +353,10 @@ void compute_acd(cluster::Runtime& rt, const AcdParams& params,
       }
     }
     if (ok) return;
+    // An oracle attempt is a pure function of (graph, eps, xi): a retry
+    // would redo the same work. Only fingerprint attempts draw fresh
+    // samples.
+    if (!params.use_fingerprints) break;
   }
   CCG_CHECK_MSG(false, "ACD failed 3 attempts: merged almost-cliques; "
                        "raise AcdParams::t");

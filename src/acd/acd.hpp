@@ -16,15 +16,25 @@
 // An exact oracle mode computes the same decomposition from true degrees
 // and true joint-neighborhood sizes while charging identical rounds; the
 // pipeline uses it at large scale (DESIGN.md substitution #1, ablation E18
-// quantifies the difference). It evaluates the joint size only on edges
-// whose endpoints both pass step 1's filter, as
-// |N(u) ∪ N(v)| = deg u + deg v - |N(u) ∩ N(v)|, with the intersection an
-// AND-popcount of the two adjacency bitset rows (graph::Graph keeps one
-// per row of degree >= 64), or a stamp probe for rows without one.
+// quantifies the difference). It decides the buddy predicate only on
+// edges whose endpoints both pass step 1's filter, as
+// |N(u) ∩ N(v)| >= deg u + deg v - floor((1 + xi) Delta), which is exactly
+// |N(u) ∪ N(v)| <= (1 + xi) Delta. When both rows carry an adjacency
+// bitset (graph::Graph keeps one per row of degree >= 64), u's row is
+// packed once, densest words first, and bits::and_popcount_at_least stops
+// as soon as the count or the popcount of the unread words settles it;
+// rows without a bitset use a stamp probe.
+//
+// Both modes walk each row's upper neighbors (v > u) in place, with no
+// edge list: one contiguous row range per worker, balanced by the upper
+// degree of high rows, computes the flags and counts the buddy CSR, and a
+// second pass over the same ranges fills it. The CSR is the one a serial
+// fill over h.edges() builds (per vertex: lower buddies ascending, then
+// upper buddies ascending), so the components, clique ids and members do
+// not depend on the worker count.
 #pragma once
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "cluster/runtime.hpp"
@@ -43,8 +53,8 @@ struct AcdParams {
   int t = 96;          // fingerprint width for all estimates
   bool use_fingerprints = true;  // false -> exact oracle mode (same cost)
   bool measure_bits = true;
-  // Optional round engine: parallelizes the oracle per-edge buddy count
-  // over edge ranges. Results are identical with or without it.
+  // Optional round engine: parallelizes the buddy flags and the buddy CSR
+  // over balanced row ranges. Results are identical with or without it.
   exec::ParallelRound* par = nullptr;
 };
 
@@ -71,15 +81,24 @@ struct AcdResult {
 // caller (color::State keeps one per arena) so back-to-back jobs on warm
 // state run the whole decomposition without heap traffic.
 struct AcdScratch {
-  std::vector<std::pair<int, int>> edges;  // h.edges(), walked off the CSR
-  std::vector<double> union_est;  // fingerprint mode: per edges entry
-  std::vector<char> buddy;        // per edges entry: Lemma 5.8 predicate
+  std::vector<double> union_est;  // fingerprint mode: per edge, edges() order
+  std::vector<char> buddy;        // per edge, edges() order: Lemma 5.8
   std::vector<char> high, candidate;    // per vertex
-  // Oracle mode, per worker: the stamp array and u's packed bitset row.
+  // upper_off[u]: edges() index of row u's first upper neighbor (v > u).
+  std::vector<int> upper_off;
+  // range_begin[p, p+1): worker p's rows, balanced by high rows' upper
+  // degrees.
+  std::vector<int> range_begin;
+  // Row p * n + v: lower buddies range p gives v, then range p's fill
+  // cursor into v's lower block.
+  std::vector<int> lower_cur;
+  // Oracle mode, per worker: the stamp array and u's bitset row packed
+  // densest word first (bits::pack_densest_first).
   struct Worker {
     std::vector<int> stamp;
     std::vector<std::uint64_t> row_words;  // nonzero words of u's row
-    std::vector<std::int32_t> row_index;   // ... and their word indices
+    std::vector<std::int32_t> row_index;   // ... their word indices
+    std::vector<std::int32_t> row_rest;    // ... suffix popcounts
   };
   std::vector<Worker> workers;
   // Fingerprint mode: raw per-vertex samples and the aggregated counts
@@ -87,9 +106,9 @@ struct AcdScratch {
   // fingerprint decompositions skip the per-vertex buffer rebuilds.
   std::vector<sketch::Fingerprint> raw;
   sketch::CountResult counts;
-  // Buddy graph as flat CSR (count -> prefix-sum -> fill): replaces the
-  // vector-of-vectors whose doubling reallocations dominated the old
-  // per-job allocation count.
+  // Buddy graph as flat CSR (count -> prefix-sum -> fill), so warm
+  // decompositions build it without heap traffic. buddy_cur[v] is where
+  // v's upper buddies start, after its lower ones.
   std::vector<int> buddy_deg, buddy_off, buddy_cur, buddy_adj;
   std::vector<int> comp, bfs;           // component collection + queue
 };
@@ -97,7 +116,10 @@ struct AcdScratch {
 // Stream-based, scratch-backed decomposition: every random draw comes from
 // a per-(round, vertex) counter stream of `streams` (bumped internally per
 // sampling sub-phase), so results are bit-identical for any worker count
-// of params.par. `out` and `scratch` are rebound, never shrunk.
+// of params.par. `out` and `scratch` are rebound, never shrunk. Throws
+// ContractViolation when an almost-clique exceeds (1 + 3 eps) Delta: after
+// 3 fingerprint attempts, or after the first oracle attempt (the oracle is
+// deterministic, so a retry would repeat it).
 void compute_acd(cluster::Runtime& rt, const AcdParams& params,
                  StreamCtx& streams, AcdResult* out, AcdScratch* scratch);
 

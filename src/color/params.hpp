@@ -6,8 +6,8 @@
 // Those values only leave the asymptotic regime at astronomical n, so every
 // formula is kept symbolic here with laptop-scale calibrated defaults; the
 // *shape* of each phase (what is constant, what scales with log* n, what
-// depends on d) is unchanged. DESIGN.md substitution #1, EXPERIMENTS.md
-// records the calibration used per experiment.
+// depends on d) is unchanged. DESIGN.md substitution #1; its experiment
+// index records the calibration the benches use.
 #pragma once
 
 #include <cstdint>

@@ -7,9 +7,10 @@
 // plain-loop fallbacks below. The fallbacks are always compiled and unit
 // tested against the builtin path so they cannot rot.
 //
-// One multi-word kernel lives out of line in bits.cpp: and_popcount, the
-// exact |A ∩ B| of two bitsets that ComputeACD's oracle buddy count runs
-// on every high-high edge.
+// Two multi-word kernels live out of line in bits.cpp, both for the exact
+// buddy predicate of ComputeACD's oracle: pack_densest_first packs a
+// bitset row once, and and_popcount_at_least decides |A ∩ B| >= need from
+// the packed row's densest words on every high-high edge.
 #pragma once
 
 #include <cstddef>
@@ -44,15 +45,23 @@ constexpr int ctz64(std::uint64_t x) noexcept {
   return n;
 }
 
-// See the dispatching and_popcount below.
-constexpr int and_popcount(const std::uint64_t* a_words,
-                           const std::int32_t* a_index, std::size_t count,
-                           const std::uint64_t* b) noexcept {
+// See the dispatching and_popcount_at_least below.
+constexpr bool and_popcount_at_least(const std::uint64_t* a_words,
+                                     const std::int32_t* a_index,
+                                     const std::int32_t* a_rest,
+                                     std::size_t count,
+                                     const std::uint64_t* b,
+                                     int need) noexcept {
   int n = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    n += popcount64(a_words[i] & b[a_index[i]]);
+  for (std::size_t i = 0; i < count; i += 4) {
+    if (n >= need) return true;
+    if (n + a_rest[i] < need) return false;
+    const std::size_t end = count - i < 4 ? count : i + 4;
+    for (std::size_t j = i; j < end; ++j) {
+      n += popcount64(a_words[j] & b[a_index[j]]);
+    }
   }
-  return n;
+  return n >= need;
 }
 
 }  // namespace fallback
@@ -89,14 +98,28 @@ constexpr int ffs64(std::uint64_t x) noexcept {
   return x == 0 ? 0 : ctz64(x) + 1;
 }
 
-// |A ∩ B| for two bitsets: A packed as its nonzero words (a_words[i] is
-// word a_index[i] of A, count of them), B as a plain word array. Only A's
-// nonzero words are read, so a row whose set bits cluster in a few words
-// costs those few words. On x86-64 GCC/clang the definition is cloned for
-// the popcnt instruction and picked at load time (except under
-// ThreadSanitizer, see bits.cpp), so builds at plain -O2 (no -mpopcnt) do
-// not pay a libgcc call per word.
-int and_popcount(const std::uint64_t* a_words, const std::int32_t* a_index,
-                 std::size_t count, const std::uint64_t* b) noexcept;
+// Packs the nonzero words of row[0, words) densest first: out_words[i] is
+// word out_index[i] of the row, ordered by popcount descending (ties by
+// word index), and out_rest[i] is the popcount of out_words[i, count).
+// Returns count. A counting sort on popcount: allocation-free, and each
+// output array must hold `words` entries. On x86-64 GCC/clang the
+// definition is cloned for the popcnt instruction and picked at load time
+// (except under ThreadSanitizer, see bits.cpp), so builds at plain -O2 (no
+// -mpopcnt) do not pay a libgcc call per word.
+std::size_t pack_densest_first(const std::uint64_t* row, std::size_t words,
+                               std::uint64_t* out_words,
+                               std::int32_t* out_index,
+                               std::int32_t* out_rest) noexcept;
+
+// Exactly |A ∩ B| >= need, for A packed by pack_densest_first (a_words[i]
+// is word a_index[i] of A, a_rest the suffix popcounts, count words) and B
+// a plain word array. Checks after every 4 words: true once the running
+// count reaches need, false once the count plus a_rest of the unread
+// words falls short. Dense words come first, so most calls decide within
+// a few words. Cloned like pack_densest_first.
+bool and_popcount_at_least(const std::uint64_t* a_words,
+                           const std::int32_t* a_index,
+                           const std::int32_t* a_rest, std::size_t count,
+                           const std::uint64_t* b, int need) noexcept;
 
 }  // namespace ccg::bits

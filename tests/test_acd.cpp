@@ -228,6 +228,61 @@ std::vector<int> reference_oracle_acd(const graph::Graph& h, int delta,
   return buddy_deg;
 }
 
+// Planted almost-cliques of degree delta with a sparse background three
+// times their size.
+graph::Graph planted_graph(int delta, std::uint64_t seed) {
+  graph::PlantedSpec spec;
+  spec.delta = delta;
+  spec.num_cliques = 4;
+  spec.anti_deg = 2;
+  spec.external_deg = delta / 10;
+  spec.num_sparse = 3 * delta;
+  spec.sparse_avg_deg = delta * 0.25;
+  Rng rng(seed);
+  return graph::make_planted_acd(spec, rng).g;
+}
+
+// Near-cliques of sizes 56, 66 and 80 with 3% of their edges dropped:
+// degrees below, around and above 64, so the middle one mixes rows with
+// and without a bitset. Cross edges between the cliques and a sparse
+// background ride along, under shuffled ids so bitset rows spread over
+// many words.
+graph::Graph straddle_graph(std::uint64_t seed) {
+  Rng rng(seed);
+  const int sizes[] = {56, 66, 80};
+  const int dense = 56 + 66 + 80, n = dense + 200;
+  const auto id = rng.permutation(n);
+  graph::Graph g(n);
+  std::set<std::pair<int, int>> seen;
+  const auto add = [&](int u, int v) {
+    if (u == v) return;
+    const int x = id[static_cast<std::size_t>(u)];
+    const int y = id[static_cast<std::size_t>(v)];
+    if (seen.insert({std::min(x, y), std::max(x, y)}).second) {
+      g.add_edge(x, y);
+    }
+  };
+  int lo = 0;
+  for (const int size : sizes) {
+    for (int u = lo; u < lo + size; ++u) {
+      for (int v = u + 1; v < lo + size; ++v) {
+        if (!rng.next_bool(0.03)) add(u, v);
+      }
+      for (int r = 0; r < 2; ++r) {
+        add(u, static_cast<int>(rng.next_below(dense)));
+      }
+    }
+    lo += size;
+  }
+  for (int u = dense; u < n; ++u) {
+    for (int r = 0; r < 4; ++r) {
+      add(u, static_cast<int>(rng.next_below(static_cast<std::uint64_t>(n))));
+    }
+  }
+  g.finalize();
+  return g;
+}
+
 // The oracle's exact buddy count runs two kernels — a bitset AND-popcount
 // when both rows carry an adjacency bitset (degree >= 64) and a stamp
 // probe otherwise. Each instance pins which kernels it reaches; every one
@@ -240,61 +295,12 @@ TEST(Acd, OracleBuddyGraphMatchesBruteForce) {
     graph::Graph g;
     Kernels kernels;
   };
-  const auto planted = [](int delta, std::uint64_t seed) {
-    graph::PlantedSpec spec;
-    spec.delta = delta;
-    spec.num_cliques = 4;
-    spec.anti_deg = 2;
-    spec.external_deg = delta / 10;
-    spec.num_sparse = 3 * delta;
-    spec.sparse_avg_deg = delta * 0.25;
-    Rng rng(seed);
-    return graph::make_planted_acd(spec, rng).g;
-  };
-  // Near-cliques of sizes 56, 66 and 80 with 3% of their edges dropped:
-  // degrees below, around and above 64, so the middle one mixes rows with
-  // and without a bitset. Cross edges between the cliques and a sparse
-  // background ride along, under shuffled ids so bitset rows spread over
-  // many words.
-  const auto straddle = [](std::uint64_t seed) {
-    Rng rng(seed);
-    const int sizes[] = {56, 66, 80};
-    const int dense = 56 + 66 + 80, n = dense + 200;
-    const auto id = rng.permutation(n);
-    graph::Graph g(n);
-    std::set<std::pair<int, int>> seen;
-    const auto add = [&](int u, int v) {
-      if (u == v) return;
-      const int x = id[static_cast<std::size_t>(u)];
-      const int y = id[static_cast<std::size_t>(v)];
-      if (seen.insert({std::min(x, y), std::max(x, y)}).second) {
-        g.add_edge(x, y);
-      }
-    };
-    int lo = 0;
-    for (const int size : sizes) {
-      for (int u = lo; u < lo + size; ++u) {
-        for (int v = u + 1; v < lo + size; ++v) {
-          if (!rng.next_bool(0.03)) add(u, v);
-        }
-        for (int r = 0; r < 2; ++r) {
-          add(u, static_cast<int>(rng.next_below(dense)));
-        }
-      }
-      lo += size;
-    }
-    for (int u = dense; u < n; ++u) {
-      for (int r = 0; r < 4; ++r) {
-        add(u, static_cast<int>(rng.next_below(static_cast<std::uint64_t>(n))));
-      }
-    }
-    g.finalize();
-    return g;
-  };
   Case cases[] = {
-      {"delta256 (bitset rows only)", planted(256, 31), Kernels::kBitsetOnly},
-      {"delta40 (stamp probe only)", planted(40, 32), Kernels::kStampOnly},
-      {"straddles degree 64", straddle(33), Kernels::kBoth},
+      {"delta256 (bitset rows only)", planted_graph(256, 31),
+       Kernels::kBitsetOnly},
+      {"delta40 (stamp probe only)", planted_graph(40, 32),
+       Kernels::kStampOnly},
+      {"straddles degree 64", straddle_graph(33), Kernels::kBoth},
   };
   for (const auto& c : cases) {
     const auto& g = c.g;
@@ -333,7 +339,7 @@ TEST(Acd, OracleBuddyGraphMatchesBruteForce) {
         want_too_large |= static_cast<int>(mem.size()) > max_size;
       }
       decompositions += !want_too_large && want.num_cliques > 0;
-      for (const int threads : {1, 2, 4}) {
+      for (const int threads : {1, 2, 3, 4}) {
         exec::ParallelRound par(threads);
         AcdParams params;
         params.eps = eps;
@@ -364,6 +370,217 @@ TEST(Acd, OracleBuddyGraphMatchesBruteForce) {
       }
     }
     EXPECT_GT(decompositions, 0) << label;
+  }
+}
+
+// The buddy CSR the way a serial fill over h.edges() builds it from the
+// per-edge flags (count -> prefix-sum -> fill in edge order), and the
+// components of its candidate-restricted graph by BFS in that order.
+struct SerialBuddyGraph {
+  std::vector<int> deg, off, adj;
+  AcdResult acd;
+};
+
+SerialBuddyGraph serial_buddy_graph(const graph::Graph& h,
+                                    const std::vector<char>& buddy,
+                                    int delta, double xi) {
+  const int n = h.n();
+  const auto edges = h.edges();
+  SerialBuddyGraph out;
+  out.deg.assign(static_cast<std::size_t>(n), 0);
+  for (std::size_t e = 0; e < edges.size(); ++e) {
+    if (!buddy[e]) continue;
+    ++out.deg[static_cast<std::size_t>(edges[e].first)];
+    ++out.deg[static_cast<std::size_t>(edges[e].second)];
+  }
+  out.off.assign(static_cast<std::size_t>(n) + 1, 0);
+  for (int v = 0; v < n; ++v) {
+    out.off[static_cast<std::size_t>(v) + 1] =
+        out.off[static_cast<std::size_t>(v)] +
+        out.deg[static_cast<std::size_t>(v)];
+  }
+  std::vector<int> cur(out.off.begin(), out.off.end() - 1);
+  out.adj.resize(static_cast<std::size_t>(out.off.back()));
+  for (std::size_t e = 0; e < edges.size(); ++e) {
+    if (!buddy[e]) continue;
+    const auto& [u, v] = edges[e];
+    out.adj[static_cast<std::size_t>(cur[static_cast<std::size_t>(u)]++)] = v;
+    out.adj[static_cast<std::size_t>(cur[static_cast<std::size_t>(v)]++)] = u;
+  }
+  const auto candidate = [&](int v) {
+    return out.deg[static_cast<std::size_t>(v)] >= (1.0 - 2.0 * xi) * delta;
+  };
+  auto& acd = out.acd;
+  acd.clique_of.assign(static_cast<std::size_t>(n), -1);
+  std::vector<char> seen(static_cast<std::size_t>(n), 0);
+  for (int src = 0; src < n; ++src) {
+    if (!candidate(src) || seen[static_cast<std::size_t>(src)]) continue;
+    std::vector<int> comp{src};
+    seen[static_cast<std::size_t>(src)] = 1;
+    for (std::size_t head = 0; head < comp.size(); ++head) {
+      const int v = comp[head];
+      for (int i = out.off[static_cast<std::size_t>(v)];
+           i < out.off[static_cast<std::size_t>(v) + 1]; ++i) {
+        const int u = out.adj[static_cast<std::size_t>(i)];
+        if (!candidate(u) || seen[static_cast<std::size_t>(u)]) continue;
+        seen[static_cast<std::size_t>(u)] = 1;
+        comp.push_back(u);
+      }
+    }
+    if (static_cast<int>(comp.size()) < std::max(2, delta / 2)) continue;
+    std::sort(comp.begin(), comp.end());
+    for (const int v : comp) {
+      acd.clique_of[static_cast<std::size_t>(v)] =
+          static_cast<int>(acd.members.size());
+    }
+    acd.members.push_back(comp);
+  }
+  acd.num_cliques = static_cast<int>(acd.members.size());
+  return out;
+}
+
+// The buddy CSR is built by parallel passes over balanced row ranges. It
+// must equal the serial fill over h.edges() entry for entry (order
+// included: BFS order follows it), in both modes and at every worker
+// count, and the flags must not depend on the worker count either.
+TEST(Acd, ParallelBuddyCsrMatchesSerial) {
+  // E1-like: cliques at the front of the id space, then a sparse
+  // low-degree tail three times their size.
+  const auto e1_like = [] {
+    graph::PlantedSpec spec;
+    spec.delta = 96;
+    spec.num_cliques = 6;
+    spec.anti_deg = 2;
+    spec.external_deg = 9;
+    spec.num_sparse = 1800;
+    spec.sparse_avg_deg = 6.0;
+    Rng rng(41);
+    return graph::make_planted_acd(spec, rng).g;
+  };
+  // The same graph under ids v -> n - 1 - v: the cliques move to the end,
+  // so the last row ranges (and the very last rows) carry the buddies.
+  const auto reversed = [](const graph::Graph& g) {
+    graph::Graph r(g.n());
+    for (const auto& [u, v] : g.edges()) {
+      r.add_edge(g.n() - 1 - u, g.n() - 1 - v);
+    }
+    r.finalize();
+    return r;
+  };
+  const struct {
+    std::string label;
+    graph::Graph g;
+  } cases[] = {
+      {"e1-like", e1_like()},
+      {"e1-like, dense tail", reversed(e1_like())},
+      {"delta40 (no bitset rows)", planted_graph(40, 42)},
+      {"mixed rows", straddle_graph(43)},
+  };
+  for (const auto& c : cases) {
+    const auto& g = c.g;
+    const auto cg = cluster::ClusterGraph::singleton(g);
+    for (const bool fingerprints : {false, true}) {
+      std::vector<char> first_flags;
+      int cliques = 0;
+      // One scratch for every worker count: warm reuse must not leak the
+      // previous run's counts or cursors.
+      AcdScratch scratch;
+      for (const int threads : {1, 2, 3, 4, 8}) {
+        const std::string at = c.label +
+                               (fingerprints ? " fingerprint" : " oracle") +
+                               " threads=" + std::to_string(threads);
+        net::Ledger ledger(cg.default_bandwidth());
+        cluster::Runtime rt(cg, ledger);
+        exec::ParallelRound par(threads);
+        AcdParams params;
+        params.eps = 0.45;
+        params.xi = 0.3;
+        params.use_fingerprints = fingerprints;
+        params.par = &par;
+        StreamCtx streams(11);
+        AcdResult got;
+        bool threw = false;
+        try {
+          compute_acd(rt, params, streams, &got, &scratch);
+        } catch (const ContractViolation&) {
+          threw = true;
+        }
+        ASSERT_EQ(scratch.buddy.size(), static_cast<std::size_t>(g.m()))
+            << at;
+        if (first_flags.empty()) first_flags = scratch.buddy;
+        EXPECT_EQ(scratch.buddy, first_flags) << at;
+        const auto want =
+            serial_buddy_graph(g, scratch.buddy, rt.delta(), params.xi);
+        EXPECT_EQ(scratch.buddy_deg, want.deg) << at;
+        EXPECT_EQ(scratch.buddy_off, want.off) << at;
+        EXPECT_EQ(scratch.buddy_adj, want.adj) << at;
+        EXPECT_FALSE(threw) << at;
+        if (threw) continue;
+        EXPECT_EQ(got.clique_of, want.acd.clique_of) << at;
+        ASSERT_EQ(got.num_cliques, want.acd.num_cliques) << at;
+        for (int k = 0; k < got.num_cliques; ++k) {
+          EXPECT_EQ(got.members[static_cast<std::size_t>(k)],
+                    want.acd.members[static_cast<std::size_t>(k)])
+              << at << " clique " << k;
+        }
+        cliques = got.num_cliques;
+      }
+      EXPECT_GT(cliques, 0) << c.label;
+    }
+  }
+}
+
+// Two K_40 joined by a perfect matching: at xi = 1.5 every edge is a
+// buddy edge (joint size at most 80 = 2 Delta), so both cliques merge
+// into one component of 80 > (1 + 3 eps) Delta and the size check fails.
+// The oracle is deterministic, so it throws after one attempt; fingerprint
+// mode retries with fresh samples and throws after three. Either way the
+// ledger holds exactly the attempts' charges.
+TEST(Acd, OracleSizeFailureChargesOneAttempt) {
+  const int s = 40;
+  graph::Graph g(2 * s);
+  for (int u = 0; u < s; ++u) {
+    for (int v = u + 1; v < s; ++v) {
+      g.add_edge(u, v);
+      g.add_edge(s + u, s + v);
+    }
+    g.add_edge(u, s + u);
+  }
+  g.finalize();
+  const auto cg = cluster::ClusterGraph::singleton(g);
+  const auto run = [&](bool fingerprints, double xi, bool* threw) {
+    net::Ledger ledger(cg.default_bandwidth());
+    cluster::Runtime rt(cg, ledger);
+    AcdParams params;
+    params.eps = 0.05;
+    params.xi = xi;
+    params.use_fingerprints = fingerprints;
+    params.measure_bits = false;  // fixed per-attempt charges
+    StreamCtx streams(3);
+    AcdResult res;
+    AcdScratch scratch;
+    *threw = false;
+    try {
+      compute_acd(rt, params, streams, &res, &scratch);
+    } catch (const ContractViolation& e) {
+      *threw = true;
+      EXPECT_NE(std::string(e.what()).find("ACD failed 3 attempts"),
+                std::string::npos)
+          << e.what();
+    }
+    return ledger.totals_snapshot();
+  };
+  for (const bool fingerprints : {false, true}) {
+    bool threw = false;
+    // xi = 0.3: only intra-clique edges (joint size 42) are buddies; one
+    // attempt passes.
+    const auto one = run(fingerprints, 0.3, &threw);
+    ASSERT_FALSE(threw) << fingerprints;
+    const auto failed = run(fingerprints, 1.5, &threw);
+    ASSERT_TRUE(threw) << fingerprints;
+    const int attempts = fingerprints ? 3 : 1;
+    EXPECT_EQ(failed.h_rounds, attempts * one.h_rounds) << fingerprints;
+    EXPECT_EQ(failed.g_rounds, attempts * one.g_rounds) << fingerprints;
   }
 }
 

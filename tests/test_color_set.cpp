@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdlib>
 #include <vector>
 
@@ -65,51 +66,91 @@ TEST(Bits, FallbackMatchesDispatchOnRandomWords) {
   }
 }
 
-// and_popcount: a packed row (nonzero words + indices) against a dense
-// row, dispatch vs fallback vs a per-bit count, at word-boundary sizes.
-TEST(Bits, AndPopcountMatchesFallbackAndBitCount) {
+// pack_densest_first + and_popcount_at_least: the packed row is A's
+// nonzero words by popcount descending (ties by index) with suffix
+// popcounts, and the decision equals |A ∩ B| >= need (counted bit by bit)
+// for every need around the count, at 0-9 packed words (partial 4-word
+// chunks) and past them, on the dispatch and fallback paths.
+TEST(Bits, AndPopcountAtLeastMatchesCount) {
   static_assert([] {
-    const std::uint64_t a[] = {0xFFull, 0x8000000000000001ull};
+    const std::uint64_t a[] = {0xFFull, 0x1ull};
     const std::int32_t ai[] = {0, 2};
-    const std::uint64_t b[] = {0x0Full, ~std::uint64_t{0}, 0x1ull};
-    return bits::fallback::and_popcount(a, ai, 2, b) == 5;
+    const std::int32_t rest[] = {9, 1};
+    const std::uint64_t b[] = {0x0Full, 0, 0x1ull};
+    return bits::fallback::and_popcount_at_least(a, ai, rest, 2, b, 5) &&
+           !bits::fallback::and_popcount_at_least(a, ai, rest, 2, b, 6);
   }());
-  Rng rng(92);
-  for (const int words : {1, 2, 3, 63, 64, 65, 124}) {
-    for (int rep = 0; rep < 50; ++rep) {
+  Rng rng(93);
+  for (const int words : {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 17, 63, 64, 65, 124}) {
+    for (int rep = 0; rep < 40; ++rep) {
       std::vector<std::uint64_t> a(static_cast<std::size_t>(words)),
           b(static_cast<std::size_t>(words));
       for (int i = 0; i < words; ++i) {
-        // Mostly-empty a (the packed case), dense b; every third word of a
-        // stays zero so packing really skips words.
-        a[static_cast<std::size_t>(i)] =
-            i % 3 == 0 ? 0 : rng.next_u64() & rng.next_u64();
+        // Every third word of a stays zero; the rest mix sparse and full
+        // words so popcounts tie and differ.
+        std::uint64_t x = rng.next_u64();
+        if (i % 3 == 1) x &= rng.next_u64() & rng.next_u64();
+        if (rep % 5 == 0 && i % 4 == 2) x = ~std::uint64_t{0};
+        a[static_cast<std::size_t>(i)] = i % 3 == 0 ? 0 : x;
         b[static_cast<std::size_t>(i)] = rng.next_u64() | rng.next_u64();
       }
-      std::vector<std::uint64_t> packed;
-      std::vector<std::int32_t> index;
-      for (int i = 0; i < words; ++i) {
-        if (a[static_cast<std::size_t>(i)] == 0) continue;
-        packed.push_back(a[static_cast<std::size_t>(i)]);
-        index.push_back(i);
+      std::vector<std::uint64_t> packed(a.size());
+      std::vector<std::int32_t> index(a.size()), rest(a.size());
+      const std::size_t count = bits::pack_densest_first(
+          a.data(), a.size(), packed.data(), index.data(), rest.data());
+      ASSERT_EQ(count, static_cast<std::size_t>(std::count_if(
+                           a.begin(), a.end(),
+                           [](std::uint64_t x) { return x != 0; })));
+      int suffix = 0;
+      for (std::size_t i = count; i-- > 0;) {
+        EXPECT_EQ(packed[i], a[static_cast<std::size_t>(index[i])]);
+        suffix += bits::popcount64(packed[i]);
+        EXPECT_EQ(rest[i], suffix);
+        if (i + 1 < count) {
+          const int pc = bits::popcount64(packed[i]);
+          const int next = bits::popcount64(packed[i + 1]);
+          EXPECT_TRUE(pc > next || (pc == next && index[i] < index[i + 1]))
+              << words << " at " << i;
+        }
       }
-      int want = 0;
-      for (int bit = 0; bit < words * bits::kWordBits; ++bit) {
-        const auto w = static_cast<std::size_t>(bit / bits::kWordBits);
-        const auto m = std::uint64_t{1} << (bit % bits::kWordBits);
-        want += (a[w] & m) != 0 && (b[w] & m) != 0;
+      // Every prefix of the packed row is itself a packed row: counts
+      // 0..9 cover the partial 4-word chunks.
+      for (std::size_t c = 0; c <= count; ++c) {
+        if (c > 9 && c != count) continue;
+        // Suffix popcounts of the first c words alone.
+        std::vector<std::int32_t> prefix_rest(
+            rest.begin(), rest.begin() + static_cast<std::ptrdiff_t>(c));
+        const int tail = c < count ? rest[c] : 0;
+        for (auto& r : prefix_rest) r -= tail;
+        int total = 0;
+        for (std::size_t i = 0; i < c; ++i) {
+          const auto w = static_cast<std::size_t>(index[i]);
+          for (int bit = 0; bit < bits::kWordBits; ++bit) {
+            const auto m = std::uint64_t{1} << bit;
+            total += (packed[i] & m) != 0 && (b[w] & m) != 0;
+          }
+        }
+        const int upper = c == 0 ? 0 : prefix_rest[0];
+        for (int need = -1; need <= upper + 1; ++need) {
+          const bool want = total >= need;
+          EXPECT_EQ(bits::and_popcount_at_least(packed.data(), index.data(),
+                                                prefix_rest.data(), c,
+                                                b.data(), need),
+                    want)
+              << words << " count " << c << " need " << need;
+          EXPECT_EQ(bits::fallback::and_popcount_at_least(
+                        packed.data(), index.data(), prefix_rest.data(), c,
+                        b.data(), need),
+                    want)
+              << words << " count " << c << " need " << need;
+        }
       }
-      EXPECT_EQ(bits::and_popcount(packed.data(), index.data(),
-                                   packed.size(), b.data()),
-                want)
-          << words;
-      EXPECT_EQ(bits::fallback::and_popcount(packed.data(), index.data(),
-                                             packed.size(), b.data()),
-                want)
-          << words;
     }
   }
-  EXPECT_EQ(bits::and_popcount(nullptr, nullptr, 0, nullptr), 0);
+  EXPECT_TRUE(bits::and_popcount_at_least(nullptr, nullptr, nullptr, 0,
+                                          nullptr, 0));
+  EXPECT_FALSE(bits::and_popcount_at_least(nullptr, nullptr, nullptr, 0,
+                                           nullptr, 1));
 }
 
 // ---- ColorSet vs bool-vector reference model ----
