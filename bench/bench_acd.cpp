@@ -132,7 +132,7 @@ int main() {
       acd::compute_acd(rt, params, streams, &res, &scratch);
     };
     constexpr int kReps = 5;
-    const auto stats = bench::timed(run_once, /*warmup=*/2, kReps);
+    const auto stats = timed(run_once, /*warmup=*/2, kReps);
     long long a0 = alloc_count();
     for (int i = 0; i < kReps; ++i) run_once();
     const double allocs_per_run =

@@ -28,7 +28,7 @@ const std::vector<int> kThreadCounts = {1, 2, 4, 8};
 
 struct ThreadRow {
   int threads = 0;
-  bench::TimedStats stats;
+  TimedStats stats;
 };
 
 struct InstanceRow {
@@ -38,7 +38,7 @@ struct InstanceRow {
   std::int64_t h_rounds = 0;
   std::vector<ThreadRow> by_threads;  // same order as kThreadCounts
 
-  const bench::TimedStats& at_one_thread() const {
+  const TimedStats& at_one_thread() const {
     return by_threads.front().stats;
   }
 };
@@ -61,7 +61,7 @@ InstanceRow run_timed_pipeline(const std::string& name, int n_target,
     color::Result last;
     ThreadRow tr;
     tr.threads = threads;
-    tr.stats = bench::timed(
+    tr.stats = timed(
         [&] {
           net::Ledger ledger(cg.default_bandwidth());
           cluster::Runtime rt(cg, ledger);
@@ -85,7 +85,7 @@ InstanceRow run_timed_pipeline(const std::string& name, int n_target,
   return row;
 }
 
-bench::TimedStats run_try_color_micro(int warmup, int reps) {
+TimedStats run_try_color_micro(int warmup, int reps) {
   Rng rng(6);
   const auto g = graph::gnm(2000, 20000, rng);
   const auto cg = cluster::ClusterGraph::singleton(g);
@@ -95,7 +95,7 @@ bench::TimedStats run_try_color_micro(int warmup, int reps) {
   for (int v = 0; v < g.n(); ++v) all[static_cast<std::size_t>(v)] = v;
   const auto sampler = color::uniform_sampler(g.max_degree() + 1, 0);
   constexpr int kRoundsPerRep = 20;
-  return bench::timed(
+  return timed(
       [&] {
         color::State st(rt, color::Params::defaults_for(g.n(), 7));
         for (int i = 0; i < kRoundsPerRep; ++i) {
@@ -108,7 +108,7 @@ bench::TimedStats run_try_color_micro(int warmup, int reps) {
 
 struct MicroRow {
   const char* name;
-  bench::TimedStats stats;
+  TimedStats stats;
 };
 
 // Palette-scan micro pair at the paper regime (Delta ~ 256): the former
@@ -149,24 +149,24 @@ void run_palette_micros(int warmup, int reps, std::vector<MicroRow>* out) {
   constexpr int kIters = 20000;
   const auto ops = static_cast<std::int64_t>(kIters) * kPatterns;
   long long sink = 0;
-  out->push_back(
-      {"first_free_scan", bench::timed(
-                              [&] {
-                                for (int i = 0; i < kIters; ++i) {
-                                  for (int p = 0; p < kPatterns; ++p) {
-                                    int c = 0;
-                                    while (c < nc &&
-                                           marks[p][static_cast<std::size_t>(
-                                               c)]) {
-                                      ++c;
-                                    }
-                                    sink += c;
-                                  }
-                                }
-                              },
-                              warmup, reps, ops)});
+  out->push_back({"first_free_scan",
+                  timed(
+                      [&] {
+                        for (int i = 0; i < kIters; ++i) {
+                          for (int p = 0; p < kPatterns; ++p) {
+                            int c = 0;
+                            while (c < nc &&
+                                   marks[p][static_cast<std::size_t>(
+                                       c)]) {
+                              ++c;
+                            }
+                            sink += c;
+                          }
+                        }
+                      },
+                      warmup, reps, ops)});
   out->push_back({"first_free_colorset",
-                  bench::timed(
+                  timed(
                       [&] {
                         for (int i = 0; i < kIters; ++i) {
                           for (int p = 0; p < kPatterns; ++p) {
@@ -176,7 +176,7 @@ void run_palette_micros(int warmup, int reps, std::vector<MicroRow>* out) {
                       },
                       warmup, reps, ops)});
   out->push_back({"palette_intersect_scan",
-                  bench::timed(
+                  timed(
                       [&] {
                         for (int i = 0; i < kIters; ++i) {
                           for (int p = 0; p < kPatterns; ++p) {
@@ -193,7 +193,7 @@ void run_palette_micros(int warmup, int reps, std::vector<MicroRow>* out) {
                       },
                       warmup, reps, ops)});
   out->push_back({"palette_intersect_colorset",
-                  bench::timed(
+                  timed(
                       [&] {
                         for (int i = 0; i < kIters; ++i) {
                           for (int p = 0; p < kPatterns; ++p) {
@@ -271,10 +271,9 @@ int main(int argc, char** argv) {
     std::printf("%s: %.2f ns/op\n", m.name, m.stats.ns_per_op());
   }
 
-  const double baseline_ns =
-      bench::json_number_field(baseline_path, "total_wall_ns");
+  const double baseline_ns = json_number_field(baseline_path, "total_wall_ns");
 
-  bench::JsonWriter j;
+  JsonWriter j;
   j.begin_object();
   j.key("bench").value("pipeline");
   j.key("schema_version").value(2);

@@ -80,7 +80,7 @@ void submit_pass(server::Server& srv, int pass, int* lineno) {
 
 struct WorkerRow {
   int workers = 0;
-  bench::TimedStats stats;
+  TimedStats stats;
   double jobs_per_sec = 0;
   std::uint64_t steals = 0;
   std::uint64_t dense_captures = 0;
@@ -151,7 +151,7 @@ SteadyState measure_scheduler_steady(const char* flags, int count,
   run_pass();
   run_pass();
   const long long alloc0 = alloc_count();
-  const auto t = bench::timed(run_pass, 0, passes);
+  const auto t = timed(run_pass, 0, passes);
   const long long alloc1 = alloc_count();
   sched.stop();
   const double jobs =
@@ -195,7 +195,7 @@ ReplayStats measure_result_replay() {
   if (!sched.submit(&tasks[0])) std::exit(1);
   sched.drain();
   const auto before = sched.counters();
-  const auto t = bench::timed(
+  const auto t = timed(
       [&] {
         for (auto& task : tasks) {
           if (!sched.submit(&task)) {
@@ -241,7 +241,7 @@ double measure_dense_speedup() {
     // Prime: instance build (+ snapshot capture when enabled).
     if (!sched.submit(&tasks[0])) std::exit(1);
     sched.drain();
-    const auto t = bench::timed(
+    const auto t = timed(
         [&] {
           for (auto& task : tasks) {
             if (!sched.submit(&task)) std::exit(1);
@@ -287,8 +287,8 @@ int main(int argc, char** argv) {
     int pass = 0, lineno = 0;
     WorkerRow row;
     row.workers = workers;
-    row.stats = bench::timed([&] { submit_pass(srv, pass++, &lineno); },
-                             warmup, reps, kJobsPerPass);
+    row.stats = timed([&] { submit_pass(srv, pass++, &lineno); },
+                      warmup, reps, kJobsPerPass);
     row.jobs_per_sec =
         static_cast<double>(kJobsPerPass) * 1e9 / row.stats.min_ns;
     const auto ctr = srv.scheduler().counters();
@@ -365,7 +365,7 @@ int main(int argc, char** argv) {
               dense_speedup);
 
   // ---- JSON ----
-  bench::JsonWriter j;
+  JsonWriter j;
   j.begin_object();
   j.key("bench").value("serving");
   j.key("schema_version").value(1);

@@ -27,7 +27,8 @@ same-machine gate:
 
 A "serving" fresh file (bench_serving) dispatches on its "bench" tag
 instead: it gates warm allocations per job under the server scheduler
-(fast == 0, auto/low <= --max-steady-allocs), report determinism across
+(fast == 0, auto/low at or below the reference's own counts), report
+determinism across
 worker counts, and (loosely, --serving-factor) jobs/sec and per-class p95
 latency against a committed BENCH_serving.json reference.
 """
@@ -101,12 +102,11 @@ def check_colorset_speedup(fresh: dict, min_speedup: float) -> bool:
     return ok
 
 
-def check_serving(fresh: dict, reference: dict, factor: float,
-                  max_allocs: float) -> bool:
+def check_serving(fresh: dict, reference: dict, factor: float) -> bool:
     """Gate a BENCH_serving.json against the committed reference.
 
     Three independent checks: warm allocations per job under the server
-    scheduler (fast exactly 0, auto/low within ``max_allocs``), the
+    scheduler (fast exactly 0, auto/low no more than the reference), the
     drained no-timing report must have been byte-identical across the
     worker sweep (the bench aborts on a mismatch, but the flag is
     re-checked here so a hand-edited JSON can't pass), and the
@@ -117,7 +117,7 @@ def check_serving(fresh: dict, reference: dict, factor: float,
     CI runners vary widely — and set <= 0 disables the cross-machine
     comparison while keeping the alloc and determinism gates.
     """
-    ok = check_steady_allocs(fresh, max_allocs)
+    ok = check_steady_allocs(fresh, reference)
     det = fresh.get("deterministic_across_workers")
     verdict = "OK" if det is True else "REGRESSION"
     print(f"serving determinism gate: deterministic_across_workers = "
@@ -170,25 +170,34 @@ def check_serving(fresh: dict, reference: dict, factor: float,
     return ok
 
 
-def check_steady_allocs(fresh: dict, max_allocs: float) -> bool:
+def check_steady_allocs(fresh: dict, reference: dict) -> bool:
     """Gate warm allocations per job in a BENCH_serving.json.
 
     The fast path must be exactly allocation-free; the auto (full
-    high-degree pipeline) and low paths must stay within the budget. A
-    JSON predating the auto/low counters (no such keys) gates only on the
-    keys it carries.
+    high-degree pipeline) and low paths may not allocate more than the
+    committed reference does. Allocation counts are machine-independent,
+    so the reference figures are the budget itself, with no slack. A
+    fresh JSON predating the auto/low counters (no such keys) gates only
+    on the keys it carries; a reference lacking a key the fresh JSON
+    carries has no budget to offer and fails the gate.
     """
     ok = True
     any_present = False
-    for key, budget in (
-        ("fast_steady_allocs_per_job", 0.0),
-        ("auto_steady_allocs_per_job", max_allocs),
-        ("low_steady_allocs_per_job", max_allocs),
+    for key in (
+        "fast_steady_allocs_per_job",
+        "auto_steady_allocs_per_job",
+        "low_steady_allocs_per_job",
     ):
         value = fresh.get(key)
         if not isinstance(value, (int, float)):
             continue
         any_present = True
+        budget = 0.0 if key.startswith("fast") else reference.get(key)
+        if not isinstance(budget, (int, float)):
+            print(f"steady-alloc gate: reference JSON carries no {key}; "
+                  "REGRESSION")
+            ok = False
+            continue
         verdict = "OK" if value <= budget else "REGRESSION"
         print(
             f"steady-alloc gate: {key} = {value:.1f} "
@@ -225,14 +234,6 @@ def main() -> int:
         help="minimum required speedup of the ColorSet palette micros "
         "over their color-by-color reference scans, measured within the "
         "fresh JSON (default 4.0; set 0 to disable)",
-    )
-    ap.add_argument(
-        "--max-steady-allocs",
-        type=float,
-        default=64.0,
-        help="for BENCH_serving.json fresh files: maximum allowed "
-        "auto/low warm allocations per job under the scheduler (fast "
-        "must be exactly 0; default 64)",
     )
     ap.add_argument(
         "--serving-factor",
@@ -276,8 +277,8 @@ def main() -> int:
                 "check the baseline path"
             )
             return 2
-        return 0 if check_serving(fresh, reference, args.serving_factor,
-                                  args.max_steady_allocs) else 1
+        return 0 if check_serving(fresh, reference,
+                                  args.serving_factor) else 1
     if fresh_kind is not None and fresh_kind != "pipeline":
         print(
             f"ignoring fresh JSON: bench '{fresh_kind}' is not gated by "

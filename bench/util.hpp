@@ -1,6 +1,8 @@
 // Shared helpers for the experiment harness: instance builders, pipeline
-// runners, fixed-width table printing, and the timed-measurement harness
-// (warmup + repetitions, ns/op, JSON emission) behind BENCH_pipeline.json.
+// runners and fixed-width table printing. The timed-measurement harness
+// (ccg::timed, common/latency.hpp) and the JSON writer (ccg::JsonWriter,
+// common/json.hpp) behind the BENCH_*.json files come in through this
+// header too.
 // Each bench binary regenerates one experiment row-set from DESIGN.md's
 // experiment index and prints the paper-claimed shape next to the measured
 // series.
@@ -106,22 +108,5 @@ inline color::Params bench_params(int n, std::uint64_t seed,
   p.measure_bits = full_stack;
   return p;
 }
-
-// ---- timed measurement harness ----
-//
-// TimedStats/timed moved to common/latency.hpp so the serving SLO layer
-// (src/server/) shares the same measurement harness and histogram; the
-// bench:: aliases keep every bench binary compiling unchanged.
-using ccg::LatencyHistogram;
-using ccg::timed;
-using ccg::TimedStats;
-
-// ---- JSON emission / extraction ----
-//
-// The writer and the single-field reader moved to common/json.hpp so the
-// batch service (src/svc/) shares them; the bench:: aliases keep every
-// bench binary compiling unchanged.
-using ccg::json_number_field;
-using ccg::JsonWriter;
 
 }  // namespace ccg::bench

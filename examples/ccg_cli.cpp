@@ -1,10 +1,14 @@
 // ccg_cli — command-line driver for the whole library, on the ccg::Solver
 // facade.
 //
-// Builds a conflict graph from any generator, wraps it in a cluster layout
-// (or a virtual-graph mode), runs the (Delta+1)-coloring pipeline through
-// one reusable Solver session and prints a machine-readable JSON result
-// (plus the per-phase ledger on stderr with --verbose).
+// The instance is named in the job-line grammar shared with batch
+// manifests, the serving protocol and ccg::Problem::recipe (flag reference
+// in src/svc/manifest.hpp): svc parses it and svc::build_instance builds
+// it, so a recipe means the same instance — defaults, ranges, layout and
+// error class included — on every surface. The CLI runs the
+// (Delta+1)-coloring pipeline through one Solver session and prints a
+// machine-readable JSON result (plus the per-phase ledger on stderr with
+// --verbose).
 //
 //   ccg_cli --gen gnm --n 4000 --m 24000 --layout star --cluster-size 4
 //   ccg_cli --gen caveman --cliques 8 --size 32 --bridges 2 --finisher gk
@@ -13,15 +17,18 @@
 //   ccg_cli --gen grid --w 40 --h 25 --distance 2     (distance-k coloring)
 //   ccg_cli --gen gnm --n 2000 --algo fast --eps 0.2  (explicit algo/eps)
 //
-// Flag values are validated here, at parse time: bad eps/threads/counts
-// exit 2 with usage instead of surfacing as mid-run contract violations;
-// solver-reported boundary errors exit 1 with the structured message.
+// Generator defaults are the job line's: a bare `--gen caveman` builds 4
+// cliques of 24, `--gen cycle` 2000 vertices. The CLI keeps its own
+// --seed: it seeds the graph (unless --graph-seed pins it) and seed + 1
+// seeds the coloring, so `--seed s` reproduces the same run as before.
+//
+// Malformed flags and out-of-range values exit 2 with usage; failed
+// builds (a generator contract violation, an unreadable DIMACS file) and
+// solver-reported errors exit 1 with the structured error class.
 #include <cstdio>
-#include <cstring>
-#include <map>
-#include <set>
-#include <stdexcept>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "ccg/ccg.hpp"
 #include "common/parse.hpp"
@@ -30,63 +37,17 @@ namespace {
 
 using namespace ccg;
 
-// Raised for malformed command lines (unknown flag, non-numeric or
-// out-of-range value, unknown generator/layout name); main turns it into
-// usage() + exit 2 instead of an uncaught-exception abort.
-class UsageError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
-
-struct Args {
-  std::map<std::string, std::string> kv;
-
-  bool has(const std::string& k) const { return kv.count(k) > 0; }
-  std::string str(const std::string& k, const std::string& dflt) const {
-    const auto it = kv.find(k);
-    return it == kv.end() ? dflt : it->second;
-  }
-  int num(const std::string& k, int dflt) const {
-    const auto it = kv.find(k);
-    if (it == kv.end()) return dflt;
-    const auto x = parse_int_strict(it->second);
-    if (!x) {
-      throw UsageError("invalid integer '" + it->second + "' for --" + k);
-    }
-    return *x;
-  }
-  double real(const std::string& k, double dflt) const {
-    const auto it = kv.find(k);
-    if (it == kv.end()) return dflt;
-    const auto x = parse_double_strict(it->second);
-    if (!x) {
-      throw UsageError("invalid number '" + it->second + "' for --" + k);
-    }
-    return *x;
-  }
-};
-
-// Every flag the CLI understands; anything else is rejected up front so a
-// typo ("--thread 4") fails loudly instead of being silently ignored.
-const std::set<std::string> kValueFlags = {
-    "gen",     "n",     "m",       "p",        "avg-deg",
-    "gamma",   "cliques", "size",  "bridges",  "delta",
-    "ext",     "anti",  "sparse",  "w",        "h",
-    "layout",  "cluster-size",     "links-per-edge",
-    "distance", "finisher", "threads", "seed", "algo", "eps"};
-const std::set<std::string> kBoolFlags = {"verbose", "repsets",
-                                          "edge-coloring", "oracle",
-                                          "help"};
-
 int usage() {
   std::fprintf(
       stderr,
-      "usage: ccg_cli --gen {gnm|gnp|chunglu|caveman|planted|grid|cycle}\n"
+      "usage: ccg_cli {--gen {gnm|gnp|chunglu|caveman|planted|grid|cycle}\n"
+      "                | --dimacs path}\n"
       "               [generator args: --n --m --p --avg-deg --gamma\n"
       "                --cliques --size --bridges --delta --ext --anti\n"
       "                --sparse --w --h]\n"
       "               [--layout {singleton|star|path|tree|bridge}]\n"
       "               [--cluster-size k] [--links-per-edge l]\n"
+      "               [--mode {cluster|edge|dist2}] [--graph-seed g]\n"
       "               [--distance k]  (color G^k as a virtual graph)\n"
       "               [--edge-coloring]  (color the line graph)\n"
       "               [--algo {auto|high|low|fast}]\n"
@@ -95,115 +56,38 @@ int usage() {
       "               [--finisher {randomized|linial|gk}]\n"
       "               [--threads t]  (parallel round engine; 0 = hardware,\n"
       "                               output identical for every t)\n"
-      "               [--repsets] [--seed s] [--verbose]\n");
+      "               [--deadline-ms ms] [--repsets] [--seed s] [--verbose]\n"
+      "       recipe and execution flags follow the job-line grammar\n"
+      "       (src/svc/manifest.hpp)\n");
   return 2;
 }
 
-// Parse-time range validation: every numeric flag the run below may
-// consume is checked here, so bad values exit 2 with usage instead of
-// tripping CCG_CHECK deep inside the pipeline. The bounds deliberately
-// mirror src/svc/manifest.cpp's parse_job_line (the manifest surface of
-// the same recipes, with its own defaults) — like the generator
-// dispatch in build_graph below, keep the two tables in sync when
-// flags change.
-void validate_args(const Args& a) {
-  const auto require = [](bool ok, const char* what) {
-    if (!ok) throw UsageError(what);
-  };
-  require(a.num("seed", 1) >= 0, "--seed must be >= 0");
-  if (a.num("threads", 1) < 0 ||
-      a.num("threads", 1) > Options::kMaxThreads) {
-    throw UsageError("--threads must be in [0, " +
-                     std::to_string(Options::kMaxThreads) + "]");
-  }
-  if (a.has("eps")) {
-    const double eps = a.real("eps", 0.0);
-    require(eps > 0.0 && eps < 1.0, "--eps must lie in (0, 1)");
-  }
-  if (a.num("distance", 1) < 1 ||
-      a.num("distance", 1) > Problem::kMaxDistance) {
-    throw UsageError("--distance must be in [1, " +
-                     std::to_string(Problem::kMaxDistance) + "]");
-  }
-  require(a.num("n", 1) >= 1, "--n must be >= 1");
-  require(a.num("m", 0) >= 0, "--m must be >= 0");
-  const double p = a.real("p", 0.0);
-  require(p >= 0.0 && p <= 1.0, "--p must lie in [0, 1]");
-  require(a.real("avg-deg", 1.0) > 0, "--avg-deg must be > 0");
-  require(a.real("gamma", 1.0) > 0, "--gamma must be > 0");
-  require(a.num("cliques", 1) >= 1, "--cliques must be >= 1");
-  require(a.num("size", 1) >= 1, "--size must be >= 1");
-  require(a.num("bridges", 0) >= 0, "--bridges must be >= 0");
-  require(a.num("delta", 1) >= 1, "--delta must be >= 1");
-  require(a.num("ext", 0) >= 0, "--ext must be >= 0");
-  require(a.num("anti", 0) >= 0, "--anti must be >= 0");
-  require(a.num("sparse", 0) >= 0, "--sparse must be >= 0");
-  require(a.num("w", 1) >= 1, "--w must be >= 1");
-  require(a.num("h", 1) >= 1, "--h must be >= 1");
-  require(a.num("cluster-size", 1) >= 1, "--cluster-size must be >= 1");
-  require(a.num("links-per-edge", 1) >= 1,
-          "--links-per-edge must be >= 1");
-  if (!algo_from_name(a.str("algo", "auto"))) {
-    throw UsageError("unknown algo '" + a.str("algo", "auto") +
-                     "' (auto|high|low|fast)");
-  }
-  const auto fin = a.str("finisher", "randomized");
-  require(fin == "randomized" || fin == "linial" || fin == "gk",
-          "unknown finisher (randomized|linial|gk)");
+int bad_flag(const std::string& what) {
+  std::fprintf(stderr, "ccg_cli: %s\n", what.c_str());
+  return usage();
 }
 
-// Generator dispatch for the CLI's flag surface. svc::build_job_graph
-// (src/svc/manifest.cpp) dispatches the same generator names for batch
-// manifests but with its own documented defaults — keep the name sets in
-// sync when adding a generator.
-graph::Graph build_graph(const Args& a, Rng& rng) {
-  const auto gen = a.str("gen", "gnm");
-  if (gen == "gnm") {
-    const int n = a.num("n", 2000);
-    return graph::gnm(n, a.num("m", n * 8), rng);
-  }
-  if (gen == "gnp") {
-    return graph::gnp(a.num("n", 2000), a.real("p", 0.01), rng);
-  }
-  if (gen == "chunglu") {
-    return graph::chung_lu(a.num("n", 2000), a.real("avg-deg", 16.0),
-                           a.real("gamma", 2.5), rng);
-  }
-  if (gen == "caveman") {
-    return graph::caveman(a.num("cliques", 8), a.num("size", 24),
-                          a.num("bridges", 2), rng);
-  }
-  if (gen == "planted") {
-    graph::PlantedSpec spec;
-    spec.delta = a.num("delta", 128);
-    spec.num_cliques = a.num("cliques", 4);
-    spec.anti_deg = a.num("anti", 2);
-    spec.external_deg = a.num("ext", 12);
-    spec.num_sparse = a.num("sparse", 0);
-    spec.sparse_avg_deg = spec.delta * 0.25;
-    return graph::make_planted_acd(spec, rng).g;
-  }
-  if (gen == "grid") return graph::grid(a.num("w", 30), a.num("h", 30));
-  if (gen == "cycle") return graph::cycle(a.num("n", 1000));
-  throw UsageError("unknown generator '" + gen + "'");
+int solve_failed(ErrorCode code, const std::string& message) {
+  std::fprintf(stderr, "ccg_cli: solve failed (%s): %s\n",
+               error_code_name(code), message.c_str());
+  return 1;
 }
 
-cluster::ClusterShape parse_shape(const std::string& s) {
-  const auto shape = svc::layout_shape(s);  // shared name table (src/svc)
-  if (!shape) throw UsageError("unknown layout '" + s + "'");
-  return *shape;
+void print_h(const graph::Graph& g) {
+  std::fprintf(stderr, "H: n=%d m=%lld Delta=%d\n", g.n(),
+               static_cast<long long>(g.m()), g.max_degree());
 }
 
-void print_json(const color::Result& res, int n, int machines, int dilation,
-                int congestion) {
+void print_json(const Outcome& out) {
+  const color::Result& res = out.result;
   std::printf("{\n");
-  std::printf("  \"n\": %d,\n  \"machines\": %d,\n", n, machines);
+  std::printf("  \"n\": %d,\n  \"machines\": %d,\n", out.n, out.machines);
   std::printf("  \"num_colors\": %d,\n", res.num_colors);
   std::printf("  \"h_rounds\": %lld,\n  \"g_rounds\": %lld,\n",
               static_cast<long long>(res.h_rounds),
               static_cast<long long>(res.g_rounds));
-  std::printf("  \"dilation\": %d,\n  \"congestion\": %d,\n", dilation,
-              congestion);
+  std::printf("  \"dilation\": %d,\n  \"congestion\": %d,\n", res.dilation,
+              out.congestion);
   std::printf("  \"max_bits_per_link_round\": %d,\n",
               res.max_bits_per_link_round);
   std::printf("  \"num_cliques\": %d,\n  \"num_cabals\": %d,\n",
@@ -214,98 +98,104 @@ void print_json(const color::Result& res, int n, int machines, int dilation,
   std::printf("}\n");
 }
 
-int run(const Args& args) {
-  validate_args(args);
-  const auto seed = static_cast<std::uint64_t>(args.num("seed", 1));
-  Rng rng(seed);
-  const auto g = build_graph(args, rng);
-  std::fprintf(stderr, "H: n=%d m=%lld Delta=%d\n", g.n(),
-               static_cast<long long>(g.m()), g.max_degree());
-
-  Options opt;
-  opt.seed = seed + 1;
-  opt.threads = args.num("threads", 1);
-  opt.algo = *algo_from_name(args.str("algo", "auto"));  // validate_args
-  if (args.has("eps")) opt.eps = args.real("eps", 0.0);
-  opt.oracle = args.has("oracle");
-  const auto fin = args.str("finisher", "randomized");  // validate_args
-  opt.finisher = fin == "linial" ? color::Params::Finisher::kLinial
-                 : fin == "gk"
-                     ? color::Params::Finisher::kGhaffariKuhn
-                     : color::Params::Finisher::kRandomizedList;
-  opt.use_representative_sets = args.has("repsets");
-
-  // One Solver session serves every mode; the Problem only selects what
-  // to color. Virtual-graph modes define their own base network, so they
-  // take precedence over --layout.
-  Solver solver;
-  Outcome out;
-  cluster::ClusterGraph cg;  // must outlive solve() for the cluster mode
-  if (args.has("edge-coloring")) {
-    solver.solve(Problem::edge_coloring(g), opt, &out);
-  } else if (args.num("distance", 1) > 1) {
-    solver.solve(Problem::distance_k(g, args.num("distance", 2)), opt,
-                 &out);
-  } else {
-    const auto layout = args.str("layout", "singleton");
-    if (layout == "singleton") {
-      cg = cluster::ClusterGraph::singleton(g);
-    } else {
-      cluster::ExpandSpec spec;
-      spec.shape = parse_shape(layout);
-      spec.size = args.num("cluster-size", 4);
-      spec.links_per_edge = args.num("links-per-edge", 1);
-      cg = cluster::ClusterGraph::expand(g, spec, rng);
-    }
-    solver.solve(Problem::cluster(cg), opt, &out);
-  }
-  if (!out.ok()) {
-    std::fprintf(stderr, "ccg_cli: solve failed (%s): %s\n",
-                 error_code_name(out.error.code),
-                 out.error.message.c_str());
-    return 1;
-  }
-  if (args.has("verbose")) {
-    std::fprintf(stderr, "%s", solver.ledger().report().c_str());
-  }
-  print_json(out.result, out.n, out.machines, out.result.dilation,
-             out.congestion);
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  Args args;
+  // Strip the flags the CLI owns; every other token is the job line.
+  std::uint64_t seed = 1;
+  int distance = 1;
+  bool edge_coloring = false, repsets = false, verbose = false;
+  bool named = false;  // --gen or --dimacs: the recipe names an instance
+  auto finisher = color::Params::Finisher::kRandomizedList;
+  std::vector<std::string> job;
   for (int i = 1; i < argc; ++i) {
-    const char* a = argv[i];
-    if (std::strncmp(a, "--", 2) != 0 || a[2] == '\0') {
-      std::fprintf(stderr, "ccg_cli: expected --flag, got '%s'\n", a);
-      return usage();
+    const std::string flag = argv[i];
+    if (flag == "--help") return usage();
+    bool* const toggle = flag == "--edge-coloring" ? &edge_coloring
+                         : flag == "--repsets"       ? &repsets
+                         : flag == "--verbose"       ? &verbose
+                                                     : nullptr;
+    if (toggle) {
+      *toggle = true;
+      continue;
     }
-    const std::string key(a + 2);
-    if (kBoolFlags.count(key) > 0) {
-      args.kv[key] = "1";
-    } else if (kValueFlags.count(key) > 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "ccg_cli: --%s needs a value\n", key.c_str());
-        return usage();
+    if (flag != "--seed" && flag != "--distance" && flag != "--finisher") {
+      named = named || flag == "--gen" || flag == "--dimacs";
+      job.push_back(flag);
+      continue;
+    }
+    if (i + 1 >= argc) return bad_flag(flag + " needs a value");
+    const std::string val = argv[++i];
+    if (flag == "--seed") {
+      const auto s = parse_u64_strict(val);
+      if (!s) return bad_flag("invalid seed '" + val + "' for --seed");
+      seed = *s;
+    } else if (flag == "--distance") {
+      const auto k = parse_int_strict(val);
+      if (!k || *k < 1 || *k > Problem::kMaxDistance) {
+        return bad_flag("--distance must be in [1, " +
+                        std::to_string(Problem::kMaxDistance) + "]");
       }
-      args.kv[key] = argv[++i];
-    } else {
-      std::fprintf(stderr, "ccg_cli: unknown flag --%s\n", key.c_str());
-      return usage();
+      distance = *k;
+    } else if (val == "linial") {
+      finisher = color::Params::Finisher::kLinial;
+    } else if (val == "gk") {
+      finisher = color::Params::Finisher::kGhaffariKuhn;
+    } else if (val != "randomized") {
+      return bad_flag("unknown finisher (randomized|linial|gk)");
     }
   }
-  if (args.has("help") || !args.has("gen")) return usage();
+  if (!named) return usage();
 
-  // Malformed or out-of-range values and unknown generator/layout/algo/
-  // finisher names surface as UsageError -> usage + exit 2; boundary
-  // errors the Solver reports (the facade never throws) exit 1.
+  svc::JobSpec spec;
   try {
-    return run(args);
-  } catch (const UsageError& e) {
-    std::fprintf(stderr, "ccg_cli: %s\n", e.what());
-    return usage();
+    svc::JobLineDefaults def;
+    def.graph_seed = seed;
+    def.allow_repeat = false;
+    std::vector<svc::JobSpec> specs;
+    svc::parse_job_tokens(job, 1, def, &specs);
+    spec = std::move(specs.front());
+  } catch (const svc::ManifestError& e) {
+    return bad_flag(e.what());
   }
+
+  Options opt;
+  opt.seed = seed + 1;
+  opt.algo = spec.algo;
+  opt.threads = spec.threads;
+  if (spec.eps > 0) opt.eps = spec.eps;
+  opt.oracle = spec.oracle;
+  if (spec.deadline_ms > 0) opt.deadline_ms = spec.deadline_ms;
+  opt.finisher = finisher;
+  opt.use_representative_sets = repsets;
+
+  // One Solver session serves every mode. --edge-coloring and --distance
+  // color a virtual graph over the recipe's base graph, which defines its
+  // own network: they take precedence over --layout and --mode.
+  Solver solver;
+  Outcome out;
+  if (edge_coloring || distance > 1) {
+    std::optional<graph::Graph> g;
+    try {
+      Rng rng(spec.graph_seed);
+      g.emplace(svc::build_job_graph(spec, rng));
+    } catch (const std::exception& e) {
+      return solve_failed(ErrorCode::kBuildFailed, e.what());
+    }
+    print_h(*g);
+    solver.solve(edge_coloring ? Problem::edge_coloring(*g)
+                               : Problem::distance_k(*g, distance),
+                 opt, &out);
+  } else {
+    const auto inst = svc::build_instance(spec);
+    if (!inst.error.empty()) return solve_failed(inst.error_code, inst.error);
+    print_h(inst.vg ? inst.vg->h() : inst.cg.h());
+    solver.solve(inst.vg ? Problem::virtual_graph(*inst.vg)
+                         : Problem::cluster(inst.cg),
+                 opt, &out);
+  }
+  if (!out.ok()) return solve_failed(out.error.code, out.error.message);
+  if (verbose) std::fprintf(stderr, "%s", solver.ledger().report().c_str());
+  print_json(out);
+  return 0;
 }

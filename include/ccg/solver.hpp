@@ -76,10 +76,12 @@ std::optional<Algo> algo_from_name(const std::string& name);
 enum class ErrorCode {
   kOk = 0,
   kInvalidOptions,  // bad eps / threads / Params override
-  kInvalidProblem,  // unknown mode, malformed recipe, empty or oversize
-                    // instance, bad distance
+  kInvalidProblem,  // unknown mode, malformed recipe (or a virtual mode
+                    // with a layout), empty or oversize instance, bad
+                    // distance, edge coloring of an edgeless graph
   kBuildFailed,     // instance construction failed (DIMACS I/O, generator
-                    // contract violation)
+                    // contract violation) — on every surface: the facade,
+                    // ccg_batch / ccg_serve reports and ccg_cli
   kInternal,        // contract violation inside the coloring pipeline
   kDeadlineExceeded,  // Options::deadline_ms elapsed mid-run (cooperative:
                       // detected at a phase/round boundary, never a hang)
@@ -128,8 +130,12 @@ class Problem {
   // src/svc/manifest.hpp, e.g. "--gen gnm --n 2000 --m 16000 --layout
   // star --cluster-size 4 --graph-seed 7". Only instance flags matter;
   // execution flags (--algo, --threads, --eps, ...) are ignored here —
-  // Options governs execution. Malformed recipes come back as
-  // ErrorCode::kInvalidProblem, failed builds as kBuildFailed.
+  // Options governs execution. Built by svc::build_instance, the builder
+  // of the batch and serving surfaces, so the error classes match theirs:
+  // malformed recipes, edge mode on an edgeless graph and empty instances
+  // come back as ErrorCode::kInvalidProblem; an unreadable DIMACS file or
+  // a generator contract violation (say gnm with m > n(n-1)/2) as
+  // kBuildFailed.
   static Problem recipe(std::string job_flags) {
     Problem p(Kind::kRecipe);
     p.recipe_ = std::move(job_flags);

@@ -341,7 +341,11 @@ void compute_acd(cluster::Runtime& rt, const AcdParams& params,
   const int delta = rt.delta();
   const int max_size =
       static_cast<int>((1.0 + 3.0 * params.eps) * delta) + 1;
-  for (int tries = 0; tries < 3; ++tries) {
+  // An oracle attempt is a pure function of (graph, eps, xi): a retry
+  // would redo the same work. Only fingerprint attempts draw fresh
+  // samples.
+  const int tries = params.use_fingerprints ? 3 : 1;
+  for (int t = 0; t < tries; ++t) {
     attempt(rt, params, streams, *out, *scratch);
     bool ok = true;
     for (int id = 0; id < out->num_cliques; ++id) {
@@ -353,13 +357,10 @@ void compute_acd(cluster::Runtime& rt, const AcdParams& params,
       }
     }
     if (ok) return;
-    // An oracle attempt is a pure function of (graph, eps, xi): a retry
-    // would redo the same work. Only fingerprint attempts draw fresh
-    // samples.
-    if (!params.use_fingerprints) break;
   }
-  CCG_CHECK_MSG(false, "ACD failed 3 attempts: merged almost-cliques; "
-                       "raise AcdParams::t");
+  CCG_CHECK_MSG(false, "ACD failed "
+                           << tries << (tries == 1 ? " attempt" : " attempts")
+                           << ": merged almost-cliques; raise AcdParams::t");
 }
 
 AcdResult compute_acd(cluster::Runtime& rt, const AcdParams& params,

@@ -47,13 +47,6 @@ HTree Runtime::build_htree(const std::vector<int>& subset, int root,
   return t;
 }
 
-HTree Runtime::spanning_htree(const std::vector<int>& subset,
-                              int max_hops) const {
-  CCG_CHECK(!subset.empty());
-  const int root = *std::min_element(subset.begin(), subset.end());
-  return build_htree(subset, root, max_hops);
-}
-
 std::vector<std::int64_t> Runtime::prefix_sums(
     const HTree& t, const std::vector<std::int64_t>& values) const {
   CCG_CHECK(values.size() == t.members.size());

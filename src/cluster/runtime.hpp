@@ -65,9 +65,6 @@ class Runtime {
   HTree build_htree(const std::vector<int>& subset, int root,
                     int max_hops) const;
 
-  // Convenience: HTree spanning `subset` rooted at its minimum-id vertex.
-  HTree spanning_htree(const std::vector<int>& subset, int max_hops) const;
-
   // ---- tree aggregation / broadcast over an HTree ----
   // Bottom-up combine; returns the root value. Cost: height H-rounds.
   template <class T, class Combine>

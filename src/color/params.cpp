@@ -29,7 +29,6 @@ int Params::block_size(int n) const {
 }
 
 int Params::donation_samples(int n) const {
-  if (donation_k > 0) return donation_k;
   const double lg = std::log2(std::max(4, n));
   const double lglg = std::max(1.0, std::log2(lg));
   return std::max(4, static_cast<int>(std::ceil(4.0 * lg / lglg)));

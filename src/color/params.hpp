@@ -66,8 +66,6 @@ struct Params {
   double putaside_factor = 1.0;
   double ls_factor = 1.0;    // ell_s = max(4, ls_factor*ell) (paper: ell^3)
   double block_factor = 8.0; // b = max(16, block_factor*ell_s) (256 ell_s^6)
-  double donor_activation_factor = 50.0;  // p = factor*ell_s/b... clamped
-  int donation_k = 0;        // samples per put-aside vertex; 0 = auto
 
   // --- low-degree finisher (Section 9.4) ---
   // Which algorithm finishes the shattered poly(log n)-size components:

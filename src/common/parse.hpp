@@ -1,6 +1,6 @@
 // Strict full-string numeric parsing shared by every command-line /
-// manifest surface (examples/ccg_cli.cpp, examples/ccg_batch.cpp,
-// src/svc/manifest.cpp).
+// job-line surface (the job-line parser in src/svc/jobspec.cpp and the
+// CLIs' own flags in examples/).
 //
 // "Strict" means the whole token must parse — trailing junk ("12abc"),
 // empty strings, and out-of-range values all yield nullopt instead of

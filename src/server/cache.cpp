@@ -46,7 +46,8 @@ std::size_t instance_bytes(const svc::Instance& inst) {
   if (inst.vg) {
     // The virtual encoding holds H plus the support lists; H dominates
     // and the supports are within a small constant of it.
-    b += 3 * graph_bytes(inst.vg->h());
+    b += 3 * graph_bytes(inst.vg->h()) +
+         inst.edge_map.capacity() * sizeof(inst.edge_map[0]);
   } else {
     b += graph_bytes(inst.cg.h());
   }

@@ -7,13 +7,6 @@
 
 namespace ccg::sketch {
 
-std::vector<Fingerprint> sample_raw_fingerprints(int n, int t, Rng& rng) {
-  std::vector<Fingerprint> raw;
-  raw.reserve(static_cast<std::size_t>(n));
-  for (int v = 0; v < n; ++v) raw.push_back(sample_fingerprint(t, rng));
-  return raw;
-}
-
 void sample_raw_fingerprints_stream(int n, int t, const StreamCtx& streams,
                                     exec::ParallelRound* par,
                                     std::vector<Fingerprint>* out) {
@@ -139,7 +132,11 @@ CountResult approximate_neighborhood_counts(cluster::Runtime& rt,
                                             const NeighborPredicate& pred,
                                             const CountOptions& opt,
                                             Rng& rng) {
-  const auto raw = sample_raw_fingerprints(rt.h().n(), opt.t, rng);
+  std::vector<Fingerprint> raw;
+  raw.reserve(static_cast<std::size_t>(rt.h().n()));
+  for (int v = 0; v < rt.h().n(); ++v) {
+    raw.push_back(sample_fingerprint(opt.t, rng));
+  }
   return neighborhood_counts(rt, raw, pred, opt);
 }
 

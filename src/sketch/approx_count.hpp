@@ -39,12 +39,10 @@ struct CountOptions {
 
 using NeighborPredicate = std::function<bool(int v, int u)>;
 
-// Raw per-vertex fingerprints (the X_{v,*} variables); shared by callers
-// that estimate several quantities from one sampling.
-std::vector<Fingerprint> sample_raw_fingerprints(int n, int t, Rng& rng);
-
-// Stream-based sampling: raw[v] is drawn from streams.rng_for(v) against
-// the *current* round (bump between samplings — see common/rng.hpp).
+// Raw per-vertex fingerprints (the X_{v,*} variables), shared by callers
+// that estimate several quantities from one sampling: raw[v] is drawn
+// from streams.rng_for(v) against the *current* round (bump between
+// samplings — see common/rng.hpp).
 // Sharded by `par` when present; draws are per-vertex disjoint, so the
 // bits are identical for every worker count, 1 and nullptr included.
 void sample_raw_fingerprints_stream(int n, int t, const StreamCtx& streams,

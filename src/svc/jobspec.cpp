@@ -64,10 +64,6 @@ double parse_line_real(int lineno, const std::string& flag,
   return *x;
 }
 
-bool known_layout_name(const std::string& layout) {
-  return layout == "singleton" || layout_shape(layout).has_value();
-}
-
 std::optional<cluster::ClusterShape> layout_shape(const std::string& layout) {
   if (layout == "star") return cluster::ClusterShape::kStar;
   if (layout == "path") return cluster::ClusterShape::kPath;
@@ -123,7 +119,7 @@ void parse_job_tokens(const std::vector<std::string>& toks, int lineno,
     } else if (key == "dimacs") {
       job.dimacs = val;
     } else if (key == "layout") {
-      if (!known_layout_name(val)) {
+      if (val != "singleton" && !layout_shape(val)) {
         parse_fail(lineno, "unknown layout '" + val + "'");
       }
       job.layout = val;

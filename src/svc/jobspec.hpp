@@ -1,19 +1,24 @@
 // One job-line recipe: the shared parsing layer under every job surface.
 //
 // A "job line" is the flag syntax `--gen gnm --n 2000 --layout star ...`
-// describing one coloring job (instance recipe + execution knobs). Three
-// front ends consume it and must agree on grammar, validation ranges and
-// the "line N: ..." error model:
+// describing one coloring job (instance recipe + execution knobs). Four
+// front ends consume it and agree on grammar, generator defaults,
+// validation ranges and the "line N: ..." error model:
 //
 //   * batch manifests (svc/manifest.hpp): `job <flags...>` lines,
 //   * the serving protocol (server/protocol.hpp): `job <id> <flags...>`
 //     requests streamed over a socket or stdin,
-//   * the facade's Problem::recipe (ccg::Solver).
+//   * the facade's Problem::recipe (ccg::Solver),
+//   * examples/ccg_cli, whose command line is one job line plus the
+//     CLI's own flags (--seed, --distance, --edge-coloring, ...).
 //
 // This header owns the JobSpec type and the one tokenized parser
 // (parse_job_tokens) all of them call; a malformed line fails the same
 // way (ManifestError, exit 2 in the CLIs) no matter which surface it
-// arrived on. See manifest.hpp for the flag reference.
+// arrived on. All of them build through svc::build_instance
+// (svc/service.hpp), so a recipe also builds — or fails to build, with
+// one ErrorCode — identically everywhere. See manifest.hpp for the flag
+// reference.
 #pragma once
 
 #include <cstdint>
@@ -46,7 +51,7 @@ enum class JobMode {
 
 const char* mode_name(JobMode m);
 
-// Generator arguments (subset of examples/ccg_cli.cpp's surface).
+// Generator arguments, with the defaults every job-line surface shares.
 struct GenArgs {
   int n = 2000;            // gnm / gnp / chunglu / cycle
   std::int64_t m = -1;     // gnm; -1 -> 8n
@@ -150,11 +155,9 @@ JobSpec parse_job_flags(const std::string& flags);
 // cross-job cache). The parser fills JobSpec::key with this.
 std::string instance_key(const JobSpec& job);
 
-// Layout-name helpers, the single source of truth for the job-line
-// parser, the instance builder, and the CLIs. layout_shape returns the
-// cluster-expansion shape, or nullopt for "singleton" (no expansion) and
-// for unknown names — use known_layout_name to tell those apart.
-bool known_layout_name(const std::string& layout);
+// The layout-name table, shared by the job-line parser and the instance
+// builder: the cluster-expansion shape, or nullopt for "singleton" (no
+// expansion) and for unknown names.
 std::optional<cluster::ClusterShape> layout_shape(const std::string& layout);
 
 // Build the job's conflict graph from its recipe. `rng` must be seeded

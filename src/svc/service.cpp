@@ -5,10 +5,8 @@
 
 #include "baseline/baselines.hpp"
 #include "cluster/validate.hpp"
-#include "common/assert.hpp"
 #include "common/failpoint.hpp"
 #include "common/json.hpp"
-#include "graph/io.hpp"
 
 namespace ccg::svc {
 
@@ -191,7 +189,9 @@ Instance build_instance(const JobSpec& job) {
       if (g.m() < 1) {
         throw ManifestError("mode=edge needs at least one edge");
       }
-      inst.vg.emplace(cluster::make_line_graph(g).vg);
+      auto enc = cluster::make_line_graph(g);
+      inst.edge_map = std::move(enc.edge_of_vertex);
+      inst.vg.emplace(std::move(enc.vg));
       inst.bandwidth = inst.vg->default_bandwidth();
     } else if (job.mode == JobMode::kDist2) {
       inst.vg.emplace(cluster::VirtualGraph::distance2(g));
@@ -218,15 +218,11 @@ Instance build_instance(const JobSpec& job) {
     // Recipe semantics violated (bad mode/layout combination, ...).
     inst.error = e.what();
     inst.error_code = ErrorCode::kInvalidProblem;
-  } catch (const graph::IoError& e) {
-    // Unreadable or malformed external input (DIMACS).
-    inst.error = e.what();
-    inst.error_code = ErrorCode::kBuildFailed;
-  } catch (const ContractViolation& e) {
-    // A generator (or injected fault) tripped a library contract.
-    inst.error = e.what();
-    inst.error_code = ErrorCode::kInternal;
   } catch (const std::exception& e) {
+    // Unreadable or malformed DIMACS (graph::IoError), or a generator
+    // (or injected fault) tripping a library contract: the recipe parsed
+    // but its construction failed. Nothing has run yet, so this is never
+    // a pipeline failure (kInternal) and never retried.
     inst.error = e.what();
     inst.error_code = ErrorCode::kBuildFailed;
   }

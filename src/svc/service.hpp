@@ -31,6 +31,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ccg/solver.hpp"
@@ -51,11 +52,16 @@ struct Instance {
   std::string key;
   cluster::ClusterGraph cg;                // JobMode::kCluster
   std::optional<cluster::VirtualGraph> vg;  // virtual modes
+  // JobMode::kEdge only: the g-edge realized by each line-graph vertex
+  // (Solver::edge_map() of a recipe solve).
+  std::vector<std::pair<int, int>> edge_map;
   int bandwidth = 0;
   std::string error;  // non-empty: build failed with this message
-  // Structured classification of a failed build, so reports distinguish
-  // bad input (kInvalidProblem: malformed recipe; kBuildFailed: unreadable
-  // or malformed DIMACS, generator failure) from library bugs (kInternal).
+  // Structured classification of a failed build: kInvalidProblem for a
+  // recipe whose semantics are violated (a virtual mode with a layout,
+  // edge mode on an edgeless graph), kBuildFailed for a construction
+  // that failed (unreadable or malformed DIMACS, generator contract
+  // violation, injected fault) — the same classes Problem::recipe reports.
   ErrorCode error_code = ErrorCode::kOk;
 };
 
@@ -178,8 +184,9 @@ class JobSlot {
 
 // Build one instance from a job recipe. Failures land in
 // Instance::error / error_code rather than throwing. This is the single
-// build path shared by prepare_instances below and the server's cross-job
-// instance cache (src/server/cache.hpp).
+// build path shared by prepare_instances below, the server's cross-job
+// instance cache (src/server/cache.hpp), ccg::Problem::recipe and
+// examples/ccg_cli.
 Instance build_instance(const JobSpec& job);
 
 // One Instance per distinct JobSpec::key of a manifest, for direct

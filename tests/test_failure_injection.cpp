@@ -589,14 +589,16 @@ TEST_F(Failpoints, BatchByteIdenticalAcrossWorkersAndOrdersWithFaults) {
 
 TEST_F(Failpoints, PrepareFaultIsContainedToTheInstance) {
   // A fault during instance build must fail that instance's jobs with a
-  // structured code, not take down the batch.
+  // structured code, not take down the batch. The build never reached
+  // the pipeline, so it is a failed build (kBuildFailed, as for any
+  // generator contract violation), not a pipeline failure (kInternal).
   const auto m = svc::parse_manifest_string(
       "job --gen gnm --n 200 --m 800 --algo fast\n");
   fail::arm("svc.prepare", {});
   const auto rep = testing::serve_manifest(m);
   ASSERT_EQ(rep.jobs.size(), 1u);
   EXPECT_FALSE(rep.jobs[0].ok);
-  EXPECT_EQ(rep.jobs[0].code, ErrorCode::kInternal);
+  EXPECT_EQ(rep.jobs[0].code, ErrorCode::kBuildFailed);
   EXPECT_EQ(rep.jobs[0].attempts, 0);
   EXPECT_EQ(rep.tally.jobs_failed, 1);
 }

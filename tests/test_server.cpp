@@ -109,16 +109,10 @@ TEST(ServerProtocol, BadLinesRaiseSharedErrorModel) {
 }
 
 TEST(ServerProtocol, CorpusBadLinesAllThrow) {
-  std::ifstream f;
-  for (const char* path :
-       {"tests/corpus/bad_server_lines.txt",
-        "../tests/corpus/bad_server_lines.txt",
-        "../../tests/corpus/bad_server_lines.txt"}) {
-    f.open(path);
-    if (f.is_open()) break;
-    f.clear();
-  }
-  ASSERT_TRUE(f.is_open()) << "bad_server_lines.txt corpus not found";
+  const std::string path =
+      std::string(CCG_SOURCE_DIR) + "/tests/corpus/bad_server_lines.txt";
+  std::ifstream f(path);
+  ASSERT_TRUE(f.is_open()) << path << " not found";
   std::string line;
   int lineno = 0, checked = 0;
   while (std::getline(f, line)) {

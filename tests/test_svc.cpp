@@ -221,6 +221,52 @@ TEST(SvcBatch, FailedInstanceFailsItsJobsAndSparesTheRest) {
   EXPECT_EQ(rep.report, serve_manifest(m, 8).report);
 }
 
+TEST(SvcBatch, FailedRecipesReportOneErrorClassOnEverySurface) {
+  // One recipe, one error class: the facade's Problem::recipe and the
+  // serving path build through the same svc::build_instance, so a recipe
+  // that cannot become an instance fails identically on both.
+  struct Case {
+    std::string recipe;
+    ErrorCode want;
+    // Non-empty: a layout the job-line parser would reject next to a
+    // virtual mode. Problem::recipe gets it as --layout; the serving side
+    // gets it set on the spec by hand, as a programmatic Manifest builder
+    // would, so the check reaches svc::build_instance.
+    std::string layout;
+  };
+  const Case cases[] = {
+      {"--gen gnm --n 10 --m 1000", ErrorCode::kBuildFailed, ""},
+      {"--gen chunglu --gamma 1.5", ErrorCode::kBuildFailed, ""},
+      {"--gen caveman --cliques 1", ErrorCode::kBuildFailed, ""},
+      {"--dimacs /nonexistent/instance.col", ErrorCode::kBuildFailed, ""},
+      {"--gen gnm --n 10 --m 0 --mode edge", ErrorCode::kInvalidProblem, ""},
+      {"--gen cycle --n 30 --mode dist2", ErrorCode::kInvalidProblem, "star"},
+  };
+  for (const auto& c : cases) {
+    const std::string recipe =
+        c.layout.empty() ? c.recipe : c.recipe + " --layout " + c.layout;
+    Solver solver;
+    const auto out = solver.solve(Problem::recipe(recipe));
+    EXPECT_EQ(out.error.code, c.want)
+        << recipe << ": " << error_code_name(out.error.code) << " "
+        << out.error.message;
+
+    JobSpec j = parse_job_flags(c.recipe);
+    if (!c.layout.empty()) j.layout = c.layout;
+    j.algo = Algo::kFast;
+    j.key = instance_key(j);
+    Manifest m;
+    m.jobs.push_back(j);
+    finalize_job_seeds(m);
+    const auto rep = serve_manifest(m);
+    ASSERT_EQ(rep.jobs.size(), 1u);
+    EXPECT_FALSE(rep.jobs[0].ok) << recipe;
+    EXPECT_EQ(rep.jobs[0].code, out.error.code)
+        << recipe << ": " << error_code_name(rep.jobs[0].code) << " "
+        << rep.jobs[0].error;
+  }
+}
+
 TEST(SvcBatch, ManifestLargerThanDefaultQueueNeverSheds) {
   // The queue is sized from the manifest, not the server default (256),
   // so every job of a larger batch is admitted and reported.
