@@ -322,12 +322,12 @@ int main(int argc, char** argv) {
       4, 1);
   const auto low_steady =
       measure_scheduler_steady("--gen gnm --n 1200 --m 4000 --algo low", 4, 1);
-  // Warm-path allocation budgets, re-checked against the JSON by
-  // bench/check_regression.py (--max-steady-allocs). The fast path must
-  // stay exactly allocation-free; the full high/low pipelines tolerate a
-  // small fixed number of grow-only stragglers.
-  constexpr double kAutoAllocBudget = 64;
-  constexpr double kLowAllocBudget = 64;
+  // Warm-path allocation budgets: the figures BENCH_serving.json commits,
+  // which bench/check_regression.py gates a fresh JSON against too. The
+  // fast path must stay exactly allocation-free; the full high/low
+  // pipelines keep a small fixed number of grow-only stragglers.
+  constexpr double kAutoAllocBudget = 7;
+  constexpr double kLowAllocBudget = 3;
   std::printf("fast path:  %.2f allocs/job, %.2f ms/job (must be 0 allocs)\n",
               fast_steady.allocs_per_job, fast_steady.ns_per_job / 1e6);
   std::printf("auto path:  %.0f allocs/job, %.2f ms/job (budget %.0f)\n",

@@ -209,8 +209,8 @@ struct Options {
   std::int64_t deadline_ms = 0;
   // Full override: used verbatim when set (the knobs above are ignored,
   // including seed and threads — they live inside Params). Validated at
-  // the boundary: out-of-range eps/threads/fingerprint_t/round budgets
-  // are kInvalidOptions, not deep-pipeline throws.
+  // the boundary: out-of-range eps/threads/fingerprint_t are
+  // kInvalidOptions, not deep-pipeline throws.
   std::optional<color::Params> params;
   // Fill Outcome::result.colors / phases. The serving path turns this
   // off and reads the coloring through Solver::colors() to stay

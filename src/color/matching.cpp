@@ -56,6 +56,13 @@ bool any_bitset_neighbor(const graph::Graph& h, int v,
 
 constexpr auto kAny = [](int) { return true; };
 
+// Trials of the cabal fingerprint matching: k = kCabalMatchingKFactor *
+// log2 n (Algorithm 7).
+int fingerprint_trials(int n) {
+  return std::max(8, static_cast<int>(std::lround(
+                         kCabalMatchingKFactor * std::log2(std::max(4, n)))));
+}
+
 }  // namespace
 
 void colorful_matching_run(State& st, const std::vector<int>& clique_ids,
@@ -79,7 +86,7 @@ void colorful_matching_run(State& st, const std::vector<int>& clique_ids,
   auto& participants = sc.tmp_ints;
   auto& keyed = st.ph.keyed;
   auto& chosen = st.ph.chosen;
-  for (int round = 0; round < st.params.matching_rounds; ++round) {
+  for (int round = 0; round < kMatchingRounds; ++round) {
     // Enumerate this round's participants: uncolored members of cliques
     // still short of their target (sequential; no randomness).
     participants.clear();
@@ -212,9 +219,7 @@ std::vector<int> colorful_matching(State& st,
 
 void fingerprint_matching_charge(State& st) {
   const int n = st.h().n();
-  const int k_trials = std::max(
-      8, static_cast<int>(std::lround(st.params.cabal_matching_kfactor *
-                                      std::log2(std::max(4, n)))));
+  const int k_trials = fingerprint_trials(n);
   // Fingerprint aggregation + trial bitmaps + min-wise hash rounds +
   // output dissemination (Lemma 6.3's O(1/eps^2) rounds).
   st.rt->charge(3, 2 * k_trials + 64);
@@ -234,9 +239,7 @@ void fingerprint_matching_into(State& st, int clique_id,
   const int sz = static_cast<int>(members.size());
   if (sz < 2) return;
   const int n = h.n();
-  const int k_trials = std::max(
-      8, static_cast<int>(std::lround(st.params.cabal_matching_kfactor *
-                                      std::log2(std::max(4, n)))));
+  const int k_trials = fingerprint_trials(n);
   const auto szu = static_cast<std::size_t>(sz);
   const auto ktu = static_cast<std::size_t>(k_trials);
 
@@ -433,8 +436,7 @@ int color_anti_matching(State& st,
   next.clear();
   // Pair-level synchronized trials (Algorithm 6 step 3, with the random
   // groups of Lemma 4.4 relaying between the pair's endpoints).
-  for (int round = 0; round < st.params.mct_max_rounds && !todo.empty();
-       ++round) {
+  for (int round = 0; round < kMctMaxRounds && !todo.empty(); ++round) {
     const auto total = static_cast<std::int64_t>(todo.size());
     // Propose (parallel shards): every live pair draws its candidate from
     // the pair's private counter-based stream and stamps both endpoints

@@ -23,7 +23,7 @@
 namespace ccg::color {
 
 // Lemma 4.9 matching on the given cliques; a clique stops once its palette
-// repeat count reaches target(k). Costs O(matching_rounds) H-rounds.
+// repeat count reaches target(k). Costs O(kMatchingRounds) H-rounds.
 // Round state lives in the State-owned scratch, so a warm call is
 // allocation-free; read per-clique repeats off st.palettes afterwards.
 // A proposer's verdict reads either its whole neighborhood or, when its

@@ -24,16 +24,16 @@ using SetSampler =
     std::function<void(int v, int x, Rng& rng, std::vector<int>* out)>;
 
 struct MctOptions {
-  int max_rounds = 64;
-  int x_init = 1;
-  int x_cap = 0;  // 0 -> 2 * ceil(log2 n)
+  int max_rounds = kMctMaxRounds;
   // Guaranteed slack lower bound per vertex: caps x so that
   // x * active_degree <= slack (Lemma D.2's hypothesis).
   std::function<int(int v)> slack;
 };
 
-// Runs MCT over S until everything is colored or the budget runs out.
-// Returns the leftover uncolored vertices (empty on success).
+// Runs MCT over S until everything is colored or the budget runs out;
+// the tried-set size x starts at 1 and doubles each round up to
+// 2 * ceil(log2 n). Returns the leftover uncolored vertices (empty on
+// success).
 std::vector<int> multicolor_trial(State& st, std::vector<int> S,
                                   const SetSampler& sampler,
                                   const MctOptions& opt);

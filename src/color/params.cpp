@@ -8,15 +8,15 @@
 namespace ccg::color {
 
 double Params::ell(int n) const {
-  return std::max(2.0, ell_factor * log_pow_1_1(std::max(2, n)));
+  return std::max(2.0, kEllFactor * log_pow_1_1(std::max(2, n)));
 }
 
 int Params::delta_low(int n) const {
-  return static_cast<int>(std::ceil(delta_low_factor * ell(n)));
+  return static_cast<int>(std::ceil(kDeltaLowFactor * ell(n)));
 }
 
 int Params::reserved_cap(int delta) const {
-  return std::max(1, static_cast<int>(reserved_cap_frac * delta));
+  return std::max(1, static_cast<int>(kReservedCapFrac * delta));
 }
 
 int Params::ell_s(int n) const {

@@ -34,7 +34,6 @@ struct CountOptions {
   bool measure_bits = true;  // walk support trees and measure encodings;
                              // if false, charges the codec's expected size
                              // (2t + 16 bits) without the walk
-  bool charge = true;        // charge the ledger for the aggregation epoch
 };
 
 using NeighborPredicate = std::function<bool(int v, int u)>;

@@ -4,8 +4,10 @@
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <memory>
+#include <vector>
 
 #include "acd/acd.hpp"
 #include "cluster/cluster_graph.hpp"
@@ -16,6 +18,22 @@
 #include "graph/stats.hpp"
 
 namespace ccg::testing {
+
+// FNV-1a over the eight little-endian bytes of x: the hash behind the
+// golden coloring pins.
+inline std::uint64_t fnv_mix(std::uint64_t h, std::int64_t x) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= static_cast<std::uint64_t>(x >> (8 * i)) & 0xffu;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+inline std::uint64_t coloring_hash(const std::vector<int>& colors) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const int c : colors) h = fnv_mix(h, c);
+  return h;
+}
 
 struct Fixture {
   graph::PlantedGraph planted;

@@ -269,10 +269,6 @@ TEST(SolverApi, BoundaryErrorsAreValuesNotThrows) {
     expect_error(Problem::cluster(cg), o, ErrorCode::kInvalidOptions,
                  "override eps");
     o.params = color::Params::defaults_for(g.n(), 1);
-    o.params->reserved_cap_frac = 2.0;  // reserved prefix > palette
-    expect_error(Problem::cluster(cg), o, ErrorCode::kInvalidOptions,
-                 "oversize reserved prefix");
-    o.params = color::Params::defaults_for(g.n(), 1);
     o.params->fingerprint_t = 0;
     expect_error(Problem::cluster(cg), o, ErrorCode::kInvalidOptions,
                  "zero fingerprint width");

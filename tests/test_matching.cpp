@@ -261,19 +261,7 @@ TEST(ColorAntiMatching, ColorsAllPairsProperly) {
 // exact, so the colorings and palettes must equal those of the scan-only
 // implementation, pinned here from it at threads {1,2,4}.
 
-std::uint64_t fnv_mix(std::uint64_t h, std::int64_t x) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= static_cast<std::uint64_t>(x >> (8 * i)) & 0xffu;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-std::uint64_t coloring_hash(const State& st) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const int c : st.phi.vec()) h = fnv_mix(h, c);
-  return h;
-}
+using ccg::testing::coloring_hash;
 
 std::vector<int> repeats_of(const State& st, int cliques) {
   std::vector<int> out;
@@ -312,7 +300,7 @@ void run_pin(const MatchingPin& pin) {
     const int target = pin.target;
     colorful_matching_run(st, ids, [target](int) { return target; });
     cluster::check_proper_partial(st.h(), st.phi.vec());
-    EXPECT_EQ(coloring_hash(st), pin.colorful_hash);
+    EXPECT_EQ(coloring_hash(st.phi.vec()), pin.colorful_hash);
     EXPECT_EQ(repeats_of(st, cliques), pin.colorful_repeats);
 
     std::vector<std::pair<int, int>> pairs;
@@ -323,7 +311,7 @@ void run_pin(const MatchingPin& pin) {
     EXPECT_EQ(static_cast<int>(pairs.size()), pin.anti_pairs);
     EXPECT_EQ(color_anti_matching(st, pairs), pin.anti_pairs);
     cluster::check_proper_partial(st.h(), st.phi.vec());
-    EXPECT_EQ(coloring_hash(st), pin.anti_hash);
+    EXPECT_EQ(coloring_hash(st.phi.vec()), pin.anti_hash);
     EXPECT_EQ(repeats_of(st, cliques), pin.anti_repeats);
   }
 }

@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
+#include <ostream>
+#include <string>
+#include <vector>
 
 #include "baseline/baselines.hpp"
 #include "cluster/validate.hpp"
@@ -348,6 +352,196 @@ TEST(PipelineEverythingOn, EstimatedWeightsOnExpandedClusters) {
   params.fingerprint_t = 64;
   const auto res = lowdeg::color_cluster_graph(rt, params);
   cluster::check_proper_total(g, res.colors, res.num_colors);
+}
+
+// ---- Golden pins of the whole pipeline ----
+//
+// Every calibrated constant (src/color/params.hpp) sets some phase's
+// trial count, threshold or round budget, so changing one moves the
+// coloring or a per-phase ledger row. Pinned at threads {1,4} for four
+// runs: the oracle high-degree path on the E1 mixture and on cabals with
+// outliers, the fingerprint ACD with measured bits, and the polylog
+// low-degree path.
+
+struct PhasePin {
+  std::string name;
+  std::int64_t h_rounds = 0;
+  std::int64_t g_rounds = 0;
+  std::int64_t total_bits = 0;
+  int max_message_bits = 0;
+  bool operator==(const PhasePin&) const = default;
+};
+
+// Prints a row as it is written below, so a failure shows the new pins.
+std::ostream& operator<<(std::ostream& os, const PhasePin& p) {
+  return os << "{\"" << p.name << "\", " << p.h_rounds << ", " << p.g_rounds
+            << ", " << p.total_bits << ", " << p.max_message_bits << "}";
+}
+
+std::vector<PhasePin> phase_pins(const color::Result& res) {
+  std::vector<PhasePin> out;
+  for (const auto& p : res.phases) {
+    out.push_back({p.name, p.h_rounds, p.g_rounds, p.total_bits,
+                   p.max_message_bits});
+  }
+  return out;
+}
+
+enum class Path { kHigh, kLow };
+
+void expect_pipeline_pins(const graph::Graph& g, const color::Params& params,
+                          Path path, std::uint64_t colors_hash,
+                          const std::vector<PhasePin>& phases) {
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    const auto cg = cluster::ClusterGraph::singleton(g);
+    net::Ledger ledger(cg.default_bandwidth());
+    cluster::Runtime rt(cg, ledger);
+    auto p = params;
+    p.threads = threads;
+    color::State st(rt, p);
+    if (path == Path::kHigh) {
+      color::run_high_degree(st);
+    } else {
+      lowdeg::run_low_degree(st);
+    }
+    const auto res = color::finalize_result(st);
+    cluster::check_proper_total(g, res.colors, res.num_colors);
+    EXPECT_EQ(testing::coloring_hash(res.colors), colors_hash);
+    EXPECT_EQ(phase_pins(res), phases);
+  }
+}
+
+TEST(PipelinePins, DerivedThresholds) {
+  // The regime switch and the reserved-prefix cap: the pipeline runs
+  // below call each path directly, so these pin the dispatch side.
+  const color::Params params;
+  EXPECT_EQ(params.delta_low(1000), 76);
+  EXPECT_EQ(params.delta_low(100000), 132);
+  EXPECT_EQ(params.reserved_cap(256), 89);
+  EXPECT_EQ(params.reserved_cap(1000), 350);
+}
+
+TEST(PipelinePins, OracleHighDegreeE1Mixture) {
+  Rng rng(1001);
+  graph::PlantedSpec spec;  // the E1 mixture perfbench's oracle_dense solves
+  spec.delta = 256;
+  spec.num_cliques = 20;
+  spec.anti_deg = 2;
+  spec.external_deg = 24;
+  spec.num_sparse = 3200;
+  spec.sparse_avg_deg = 64.0;
+  const auto planted = graph::make_planted_acd(spec, rng);
+  expect_pipeline_pins(planted.g, pipeline_params(planted.g.n(), 1003),
+                       Path::kHigh, 17955717656001291614ull,
+                       {{"1-acd", 11, 61, 0, 430},
+                        {"2-slack-generation", 2, 2, 0, 26},
+                        {"3-sparse", 24, 24, 0, 28},
+                        {"4a-matching", 55, 76, 0, 272},
+                        {"4b-easy", 0, 0, 0, 0},
+                        {"4c-outliers", 0, 0, 0, 0},
+                        {"4d-sct", 5, 5, 0, 26},
+                        {"4e-complete", 32, 72, 0, 430},
+                        {"4-noncabals", 92, 153, 0, 430},
+                        {"5-cabals", 0, 0, 0, 0}});
+}
+
+// A cabal-heavy planted graph in which members 1..4 of every block also
+// get extra[i] neighbors in the other blocks, so their external degrees
+// straddle the cabal inlier rule's kInlierExtFactor * ẽ_K threshold.
+graph::Graph with_outliers(const graph::PlantedGraph& planted) {
+  constexpr int kExtra[] = {8, 16, 32, 80};
+  const auto& g = planted.g;
+  std::vector<int> extra(static_cast<std::size_t>(g.n()), 0);
+  std::vector<int> seen(static_cast<std::size_t>(planted.num_cliques), 0);
+  for (int v = 0; v < g.n(); ++v) {
+    const int k = planted.clique_of[static_cast<std::size_t>(v)];
+    if (k < 0) continue;
+    const int i = seen[static_cast<std::size_t>(k)]++;
+    if (i >= 1 && i <= 4) extra[static_cast<std::size_t>(v)] = kExtra[i - 1];
+  }
+  std::vector<std::pair<int, int>> edges;
+  for (int u = 0; u < g.n(); ++u) {
+    for (const int v : g.neighbors(u)) {
+      if (u < v) edges.emplace_back(u, v);
+    }
+  }
+  for (int v = 0; v < g.n(); ++v) {
+    const int k = planted.clique_of[static_cast<std::size_t>(v)];
+    int added = 0;
+    for (int u = 0; u < g.n() && added < extra[static_cast<std::size_t>(v)];
+         u += 3) {
+      if (planted.clique_of[static_cast<std::size_t>(u)] == k ||
+          extra[static_cast<std::size_t>(u)] > 0 || g.has_edge(u, v)) {
+        continue;
+      }
+      edges.emplace_back(std::min(u, v), std::max(u, v));
+      ++added;
+    }
+  }
+  return graph::Graph::from_edges(g.n(), edges);
+}
+
+TEST(PipelinePins, OracleHighDegreeCabalOutliers) {
+  Rng rng(1031);
+  graph::PlantedSpec spec;
+  spec.delta = 150;
+  spec.num_cliques = 4;
+  spec.anti_deg = 2;
+  spec.external_deg = 2;
+  const auto g = with_outliers(graph::make_planted_acd(spec, rng));
+  expect_pipeline_pins(g, pipeline_params(g.n(), 1033), Path::kHigh,
+                       13101121598972376156ull,
+                       {{"1-acd", 11, 55, 0, 310},
+                        {"2-slack-generation", 2, 2, 0, 20},
+                        {"3-sparse", 0, 0, 0, 0},
+                        {"4-noncabals", 0, 0, 0, 0},
+                        {"5-cabals", 79, 106, 0, 212}});
+}
+
+TEST(PipelinePins, FingerprintHighDegreeMeasuredBits) {
+  Rng rng(1011);
+  graph::PlantedSpec spec;
+  spec.delta = 128;
+  spec.num_cliques = 4;
+  spec.anti_deg = 2;
+  spec.external_deg = 12;
+  spec.num_sparse = 400;
+  spec.sparse_avg_deg = 32.0;
+  const auto planted = graph::make_planted_acd(spec, rng);
+  auto params = pipeline_params(planted.g.n(), 1013);
+  params.use_fingerprint_acd = true;
+  params.measure_bits = true;
+  expect_pipeline_pins(planted.g, params, Path::kHigh, 132891612967561136ull,
+                       {{"1-acd", 19, 189, 0, 756},
+                        {"2-slack-generation", 2, 2, 0, 20},
+                        {"3-sparse", 64, 64, 0, 40},
+                        {"4a-matching", 52, 73, 0, 220},
+                        {"4b-easy", 0, 0, 0, 0},
+                        {"4c-outliers", 0, 0, 0, 0},
+                        {"4d-sct", 5, 5, 0, 20},
+                        {"4e-complete", 33, 81, 0, 328},
+                        {"4-noncabals", 90, 159, 0, 328},
+                        {"5-cabals", 68, 95, 0, 220}});
+}
+
+TEST(PipelinePins, LowDegreePolylogRegime) {
+  Rng rng(1021);
+  graph::PlantedSpec spec;
+  spec.delta = 60;
+  spec.num_cliques = 3;
+  spec.anti_deg = 2;
+  spec.external_deg = 9;  // near ell: one cabal beside two non-cabals
+  spec.num_sparse = 200;
+  spec.sparse_avg_deg = 15.0;
+  const auto planted = graph::make_planted_acd(spec, rng);
+  expect_pipeline_pins(planted.g, pipeline_params(planted.g.n(), 1023),
+                       Path::kLow, 2592355032622047309ull,
+                       {{"lowdeg-acd", 11, 55, 0, 286},
+                        {"lowdeg-slackgen", 2, 2, 0, 18},
+                        {"lowdeg-sparse", 20, 20, 0, 18},
+                        {"lowdeg-noncabals", 38, 38, 0, 18},
+                        {"lowdeg-cabals", 64, 85, 0, 200}});
 }
 
 }  // namespace

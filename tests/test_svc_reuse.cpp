@@ -174,9 +174,10 @@ TEST(SvcReuse, AutoJobsReuseTheAcdAndDenseScratch) {
   // The high-degree pipeline's working set — AcdResult members, the ACD
   // CSR/BFS scratch, DenseInfo, palettes, and every phase-orchestration
   // buffer — lives in grow-only State storage. Once warm, a full auto job
-  // must stay within the same small allocation budget the serving bench
-  // gates on (bench_serving / check_regression.py), and reuse
-  // must not change a single output bit versus cold slots.
+  // must stay within a small fixed allocation budget, and reuse must not
+  // change a single output bit versus cold slots. The budget is this
+  // test's own and looser than the per-path figures that bench_serving
+  // checks (the committed BENCH_serving.json values).
   constexpr int kJobs = 4;
   constexpr long long kBudgetPerJob = 64;
   const auto m = auto_manifest(kJobs);
