@@ -372,10 +372,12 @@ void Solver::solve_impl(const Problem& p, const Options& o, Outcome* out) {
         run_fast(st);
         break;
     }
-    // The pipelines check properness internally (and a failure lands in
-    // the catch below); the fast path and the non-auto virtual routes are
-    // checked here so nothing improper ever leaves the facade.
-    if (!cluster::is_proper_total(h, st.phi.vec(), st.num_colors(),
+    // run_high_degree, run_low_degree and run_virtual end in
+    // check_proper_total on this graph (a failure lands in the catch
+    // below); only the fast path is checked here, so nothing improper
+    // ever leaves the facade and no coloring is scanned twice.
+    if (o.algo == Algo::kFast &&
+        !cluster::is_proper_total(h, st.phi.vec(), st.num_colors(),
                                   st.par.get())) {
       out->uncolored = cluster::count_uncolored(st.phi.vec());
       out->error = make_error(ErrorCode::kInternal,

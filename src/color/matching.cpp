@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <span>
+#include <utility>
 
 #include "common/hashing.hpp"
 #include "common/mathutil.hpp"
@@ -20,14 +21,17 @@ namespace {
 // it, far fewer than deg(v) in an almost-clique, so with v's adjacency
 // bitset row a verdict probes |cb[c]| + |pb[c]| bits instead of reading
 // N(v) twice. Building the buckets costs O(n + C), so a round builds them
-// only when its bitset-row proposers would scan more than that, and
-// returns whether it did. proposers(emit) calls emit(v, candidate(v)) for
-// the round's proposers (c < 0: not proposing).
-template <class ForEachProposer>
-bool build_verdict_buckets(State& st, ForEachProposer&& proposers) {
+// only when the proposers it will run verdicts on (`tested`) would scan
+// more than that through bitset rows, and returns whether it did. pb
+// holds every proposer of the round (`proposers`), tested or not: a
+// tested proposer must still see its clash with any other. Both callables
+// call emit(v, candidate(v)) per proposer (c < 0: not proposing).
+template <class ForEachTested, class ForEachProposer>
+bool build_verdict_buckets(State& st, ForEachTested&& tested,
+                           ForEachProposer&& proposers) {
   const auto& h = st.h();
   std::int64_t bitset_scan = 0;
-  proposers([&](int v, int c) {
+  tested([&](int v, int c) {
     if (c >= 0 && h.has_bitset_row(v)) bitset_scan += h.degree(v);
   });
   if (bitset_scan <= h.n() + st.num_colors()) return false;
@@ -55,6 +59,23 @@ bool any_bitset_neighbor(const graph::Graph& h, int v,
 }
 
 constexpr auto kAny = [](int) { return true; };
+
+// True iff two of the participants on the chain from position `first`
+// (linked by `next`, -1 ends it) are non-adjacent.
+bool has_non_adjacent_pair(const graph::Graph& h,
+                           const std::vector<int>& participants,
+                           const std::vector<int>& next, int first) {
+  const auto at = [&](int i) {
+    return participants[static_cast<std::size_t>(i)];
+  };
+  for (int i = first; i >= 0; i = next[static_cast<std::size_t>(i)]) {
+    for (int j = next[static_cast<std::size_t>(i)]; j >= 0;
+         j = next[static_cast<std::size_t>(j)]) {
+      if (!h.has_edge(at(i), at(j))) return true;
+    }
+  }
+  return false;
+}
 
 // Trials of the cabal fingerprint matching: k = kCabalMatchingKFactor *
 // log2 n (Algorithm 7).
@@ -120,45 +141,94 @@ void colorful_matching_run(State& st, const std::vector<int>& clique_ids,
       }
     });
 
-    // Buckets (sequential): the proposers are the activated participants.
-    const bool buckets = build_verdict_buckets(st, [&](auto&& emit) {
-      for (const int v : participants) emit(v, sc.candidate(v));
-    });
+    // Viable groups (sequential, O(proposers)): the commit below adopts
+    // a color only for >= 2 pairwise non-adjacent survivors of one
+    // (clique, color) group, so a proposer whose group holds no
+    // non-adjacent pair never adopts, whatever its verdict says. The
+    // participants are listed clique by clique; chain each clique's
+    // proposers by color and keep the members of groups with a
+    // non-adjacent pair. Only they get a verdict (under 1% of the
+    // proposers on the dense benchmark instances); the rest get -1.
+    auto& viable = st.ph.cm_viable;
+    auto& head = st.ph.cm_head;
+    auto& next = st.ph.cm_next;
+    auto& colors = st.ph.cm_colors;
+    viable.clear();
+    if (head.size() < static_cast<std::size_t>(st.num_colors())) {
+      head.resize(static_cast<std::size_t>(st.num_colors()), -1);
+    }
+    next.resize(participants.size());
+    for (std::size_t lo = 0, hi = 0; lo < participants.size(); lo = hi) {
+      const int k = st.dc.clique_of(participants[lo]);
+      for (; hi < participants.size() &&
+             st.dc.clique_of(participants[hi]) == k;
+           ++hi) {
+        const int c = sc.candidate(participants[hi]);
+        if (c == TrialScratch::kNone) continue;
+        int& first = head[static_cast<std::size_t>(c)];
+        if (first < 0) colors.push_back(c);
+        next[hi] = first;
+        first = static_cast<int>(hi);
+      }
+      for (const int c : colors) {
+        const int first = std::exchange(head[static_cast<std::size_t>(c)], -1);
+        if (!has_non_adjacent_pair(h, participants, next, first)) continue;
+        for (int i = first; i >= 0; i = next[static_cast<std::size_t>(i)]) {
+          viable.push_back(i);
+        }
+      }
+      colors.clear();
+    }
 
-    // Verdict (parallel shards): drop candidates clashing with a colored
-    // neighbor or with an external candidate on the same color (symmetric
-    // drop; conservative) — a pure read of the frozen candidate table.
-    // Each proposer takes the cheaper of two exactly equivalent tests:
-    // probe its bitset row with c's buckets, or scan N(v).
+    // Buckets (sequential): priced by the viable proposers' scans, filled
+    // with every proposer.
+    const bool buckets = build_verdict_buckets(
+        st,
+        [&](auto&& emit) {
+          for (const int i : viable) {
+            const int v = participants[static_cast<std::size_t>(i)];
+            emit(v, sc.candidate(v));
+          }
+        },
+        [&](auto&& emit) {
+          for (const int v : participants) emit(v, sc.candidate(v));
+        });
+
+    // Verdict (parallel shards over the viable proposers): drop candidates
+    // clashing with a colored neighbor or with an external candidate on
+    // the same color (symmetric drop; conservative) — a pure read of the
+    // frozen candidate table. Each proposer takes the cheaper of two
+    // exactly equivalent tests: probe its bitset row with c's buckets, or
+    // scan N(v).
     auto& verdicts = sc.verdicts;
-    verdicts.resize(participants.size());
-    par.shards(total, [&](int, std::int64_t b, std::int64_t e) {
+    verdicts.assign(participants.size(), -1);
+    par.shards(static_cast<std::int64_t>(viable.size()),
+               [&](int, std::int64_t b, std::int64_t e) {
       for (std::int64_t i = b; i < e; ++i) {
-        const int v = participants[static_cast<std::size_t>(i)];
+        const auto pos =
+            static_cast<std::size_t>(viable[static_cast<std::size_t>(i)]);
+        const int v = participants[pos];
         const int c = sc.candidate(v);
-        bool ok = c != TrialScratch::kNone;
-        if (ok) {
-          const int kv = st.dc.clique_of(v);
-          const auto external = [&](int u) {
-            return st.dc.clique_of(u) != kv;
-          };
-          if (buckets && h.has_bitset_row(v) &&
-              bucket_probes(st.ph, c) < h.degree(v)) {
-            ok = !any_bitset_neighbor(h, v, st.ph.cb.of(c), kAny) &&
-                 !any_bitset_neighbor(h, v, st.ph.pb.of(c), external);
-          } else if (st.phi.neighbor_uses(h, v, c)) {
-            ok = false;
-          } else {
-            for (const int u : h.neighbors(v)) {
-              if (!external(u)) continue;
-              if (sc.candidate(u) == c) {
-                ok = false;
-                break;
-              }
+        const int kv = st.dc.clique_of(v);
+        const auto external = [&](int u) {
+          return st.dc.clique_of(u) != kv;
+        };
+        bool ok = true;
+        if (buckets && h.has_bitset_row(v) &&
+            bucket_probes(st.ph, c) < h.degree(v)) {
+          ok = !any_bitset_neighbor(h, v, st.ph.cb.of(c), kAny) &&
+               !any_bitset_neighbor(h, v, st.ph.pb.of(c), external);
+        } else if (st.phi.neighbor_uses(h, v, c)) {
+          ok = false;
+        } else {
+          for (const int u : h.neighbors(v)) {
+            if (external(u) && sc.candidate(u) == c) {
+              ok = false;
+              break;
             }
           }
         }
-        verdicts[static_cast<std::size_t>(i)] = ok ? c : -1;
+        if (ok) verdicts[pos] = c;
       }
     });
 
@@ -269,14 +339,24 @@ void fingerprint_matching_into(State& st, int clique_id,
 
   // Clique maximum Y_K, aggregated on BFS trees in the model; one
   // deterministic sequential reduction here, charged with its measured
-  // encoded size. The maxima buffer is scratch-owned (capacity reused).
+  // encoded size. The same row-major pass records each trial's unique
+  // maximum: argmax[t] is the member attaining Y_K[t], or -1 once a second
+  // member ties it (a later, larger draw restarts the record). The
+  // buffers are scratch-owned (capacity reused).
   auto& yk = fp.yk;
   yk.maxima.assign(ktu, sketch::kEmpty);
+  fp.argmax.resize(ktu);
+  int* top = yk.maxima.data();
+  int* arg = fp.argmax.data();
   for (int i = 0; i < sz; ++i) {
     const int* row = fp.x.data() + static_cast<std::size_t>(i) * ktu;
     for (int t = 0; t < k_trials; ++t) {
-      yk.maxima[static_cast<std::size_t>(t)] =
-          std::max(yk.maxima[static_cast<std::size_t>(t)], row[t]);
+      if (row[t] > top[t]) {
+        top[t] = row[t];
+        arg[t] = i;
+      } else if (row[t] == top[t]) {
+        arg[t] = -1;
+      }
     }
   }
   if (charge) st.rt->charge(3, std::max(1, sketch::encoded_bits(yk)));
@@ -286,35 +366,26 @@ void fingerprint_matching_into(State& st, int clique_id,
   //
   // The algorithm compares each member's in-list neighborhood maximum
   // Y_v[t] only against Y_K[t]. Every draw is <= Y_K[t], so
-  // Y_v[t] == Y_K[t] exactly when some in-list neighbor of v lies in
-  // M_t = {m : x_m[t] == Y_K[t]}. hit[t][i] records that equality: one
-  // scan per trial finds M_t (its size and last member also decide the
-  // unique maximum) and marks the in-list neighbors of each m in M_t.
-  // |M_t| is about 1-2, so this costs O(k_trials * (|K| + |M_t| * Delta))
-  // instead of materializing Y_v in O(|K| * Delta * k_trials). Rows are
-  // per-trial disjoint (parallel shards over trials).
+  // Y_v[t] == Y_K[t] exactly when some in-list neighbor of v attains
+  // Y_K[t]. hit[t][i] records that equality, but only for trials with a
+  // unique maximum m: conditions (b)-(c) and the min-wise step read no
+  // other row (about 30% of the trials tie and are skipped). Then
+  // hit[t][i] == 1 iff member i is an in-list neighbor of m, so a row
+  // costs O(|K| + deg(m)) instead of materializing Y_v in
+  // O(|K| * Delta). Rows are per-trial disjoint (parallel shards over
+  // trials).
   if (charge) st.rt->charge(4, k_trials);
-  fp.argmax.resize(ktu);
   fp.hit.resize(ktu * szu);
   par.shards(k_trials, [&](int, std::int64_t b, std::int64_t e) {
     for (std::int64_t t = b; t < e; ++t) {
+      const int m = fp.argmax[static_cast<std::size_t>(t)];
+      if (m < 0) continue;
       std::uint8_t* hit = fp.hit.data() + static_cast<std::size_t>(t) * szu;
       std::fill(hit, hit + sz, 0);
-      const int top = yk.maxima[static_cast<std::size_t>(t)];
-      int count = 0, arg = -1;
-      for (int i = 0; i < sz; ++i) {
-        if (fp.x[static_cast<std::size_t>(i) * ktu +
-                 static_cast<std::size_t>(t)] != top) {
-          continue;
-        }
-        ++count;
-        arg = i;
-        for (const int u : h.neighbors(members[static_cast<std::size_t>(i)])) {
-          const int li = sc.candidate(u);
-          if (li != TrialScratch::kNone) hit[li] = 1;
-        }
+      for (const int u : h.neighbors(members[static_cast<std::size_t>(m)])) {
+        const int li = sc.candidate(u);
+        if (li != TrialScratch::kNone) hit[li] = 1;
       }
-      fp.argmax[static_cast<std::size_t>(t)] = count == 1 ? arg : -1;
     }
   });
 
@@ -434,13 +505,18 @@ int color_anti_matching(State& st,
   pair_cand.assign(pairs.size(), -1);
   auto& next = st.ph.am_next;
   next.clear();
+  auto& pair_min = st.ph.am_min;  // endpoint -> its pair's minimum id
+  if (pair_min.size() < static_cast<std::size_t>(h.n())) {
+    pair_min.resize(static_cast<std::size_t>(h.n()));
+  }
   // Pair-level synchronized trials (Algorithm 6 step 3, with the random
   // groups of Lemma 4.4 relaying between the pair's endpoints).
   for (int round = 0; round < kMctMaxRounds && !todo.empty(); ++round) {
     const auto total = static_cast<std::int64_t>(todo.size());
     // Propose (parallel shards): every live pair draws its candidate from
     // the pair's private counter-based stream and stamps both endpoints
-    // (the matching is vertex-disjoint, so the writes are too).
+    // with it and with the pair's minimum endpoint (the matching is
+    // vertex-disjoint, so the writes are too).
     sc.begin_round();
     st.bump_trial_round();
     par.shards(total, [&](int, std::int64_t b, std::int64_t e) {
@@ -449,24 +525,30 @@ int color_anti_matching(State& st,
         Rng rng = st.trial_rng(static_cast<std::uint64_t>(pi));
         const int c = prefix + static_cast<int>(rng.next_below(
                                    static_cast<std::uint64_t>(span)));
+        const auto& [a, b2] = pairs[static_cast<std::size_t>(pi)];
         pair_cand[static_cast<std::size_t>(pi)] = c;
-        sc.propose_at(pairs[static_cast<std::size_t>(pi)].first, c);
-        sc.propose_at(pairs[static_cast<std::size_t>(pi)].second, c);
+        sc.propose_at(a, c);
+        sc.propose_at(b2, c);
+        pair_min[static_cast<std::size_t>(a)] = std::min(a, b2);
+        pair_min[static_cast<std::size_t>(b2)] = std::min(a, b2);
       }
     });
     // Buckets (sequential): the proposers are both endpoints of every
-    // live pair.
-    const bool buckets = build_verdict_buckets(st, [&](auto&& emit) {
+    // live pair, and every one of them is tested.
+    const auto endpoints = [&](auto&& emit) {
       for (const int pi : todo) {
         const auto& [a, b2] = pairs[static_cast<std::size_t>(pi)];
         emit(a, sc.candidate(a));
         emit(b2, sc.candidate(b2));
       }
-    });
+    };
+    const bool buckets = build_verdict_buckets(st, endpoints, endpoints);
     // Verdict (parallel shards) against the frozen candidate table, by
     // the cheaper of the bucket probes and the neighborhood scans.
     // Conflicts with other pairs trying the same color yield to the
-    // smaller minimum-endpoint id.
+    // smaller minimum-endpoint id: a clashing endpoint u counts by its
+    // pair's minimum, not by u itself, or two clashing pairs could both
+    // see the other as later and both adopt c.
     auto& verdicts = sc.verdicts;
     verdicts.resize(todo.size());
     par.shards(total, [&](int, std::int64_t b, std::int64_t e) {
@@ -475,7 +557,9 @@ int color_anti_matching(State& st,
         const auto& [a, b2] = pairs[static_cast<std::size_t>(pi)];
         const int c = pair_cand[static_cast<std::size_t>(pi)];
         const int my_id = std::min(a, b2);
-        const auto earlier = [my_id](int u) { return u < my_id; };
+        const auto earlier = [&](int u) {
+          return pair_min[static_cast<std::size_t>(u)] < my_id;
+        };
         bool ok = true;
         if (buckets && h.has_bitset_row(a) && h.has_bitset_row(b2) &&
             bucket_probes(st.ph, c) < h.degree(a) + h.degree(b2)) {
@@ -489,7 +573,7 @@ int color_anti_matching(State& st,
           for (const int endpoint : {a, b2}) {
             if (!ok) break;
             for (const int u : h.neighbors(endpoint)) {
-              if (earlier(u) && sc.candidate(u) == c) {
+              if (sc.candidate(u) == c && earlier(u)) {
                 ok = false;
                 break;
               }

@@ -229,8 +229,14 @@ struct PhaseScratch {
   // (the SCT and the donation scheme both read it), so it is distinct
   // from the groups pair above.
   std::vector<int> am_todo, am_cand, am_next;
+  std::vector<int> am_min;    // vertex -> its live pair's minimum endpoint
   std::vector<std::pair<std::int64_t, int>> keyed;  // (clique*C+color, v)
   std::vector<int> chosen;
+  // Colorful-matching proposer groups: per-color chain heads (all -1
+  // between cliques), the next position in a participant's chain, the
+  // colors the current clique touched, and the participant positions of
+  // groups that hold a non-adjacent pair (the only verdicts computed).
+  std::vector<int> cm_head, cm_next, cm_colors, cm_viable;
   // Verdict buckets of both matchings: colored vertices by color and
   // this round's proposers by candidate color.
   ColorBuckets cb, pb;
@@ -365,8 +371,9 @@ class TrialScratch {
   std::vector<int> fb_next;
 
   // Fingerprint-matching scratch (Algorithm 7): the flat |K| x k_trials
-  // draws and k_trials x |K| hit matrix, plus the per-trial and
-  // per-member flag arrays that replaced the seed's
+  // draws and k_trials x |K| hit matrix (only the rows of trials with a
+  // unique maximum are filled; the others keep stale bytes), plus the
+  // per-trial and per-member flag arrays that replaced the seed's
   // unordered_map/unordered_set temporaries. Owned here so one State runs
   // any number of fingerprint matchings allocation-free in steady state.
   struct FingerprintScratch {

@@ -1,87 +1,13 @@
 #include "common/rng.hpp"
 
-#include <bit>
 #include <cmath>
 
 namespace ccg {
-
-std::uint64_t splitmix64(std::uint64_t& state) {
-  std::uint64_t z = (state += 0x9E3779B97F4A7C15ULL);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
-
-std::uint64_t mix64(std::uint64_t x) {
-  std::uint64_t s = x;
-  return splitmix64(s);
-}
-
-namespace {
-inline std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-}  // namespace
-
-Rng::Rng(std::uint64_t seed) {
-  std::uint64_t s = seed;
-  for (auto& word : s_) word = splitmix64(s);
-}
-
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-std::uint64_t Rng::next_below(std::uint64_t bound) {
-  // bound == 0 is a caller bug (an empty sampling window); the check
-  // throws rather than hitting `% 0` UB. Call sites where the window can
-  // legitimately empty out (e.g. a clique palette with no free colors in
-  // put-aside coloring) must skip the draw instead — see
-  // src/color/putaside.cpp.
-  CCG_CHECK(bound > 0);
-  // Lemire-style rejection to avoid modulo bias.
-  const std::uint64_t threshold = (~bound + 1) % bound;  // == 2^64 mod bound
-  for (;;) {
-    const std::uint64_t r = next_u64();
-    if (r >= threshold) return r % bound;
-  }
-}
 
 std::int64_t Rng::next_int(std::int64_t lo, std::int64_t hi) {
   CCG_CHECK(lo <= hi);
   const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
   return lo + static_cast<std::int64_t>(next_below(span));
-}
-
-double Rng::next_double() {
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-}
-
-bool Rng::next_bool(double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return next_double() < p;
-}
-
-int Rng::next_geometric_half() {
-  // Count consecutive 1-bits across 64-bit words; each bit is an
-  // independent Bernoulli(1/2) "success".
-  int total = 0;
-  for (;;) {
-    const std::uint64_t w = next_u64();
-    const int ones = std::countr_one(w);
-    total += ones;
-    if (ones < 64) return total;
-    CCG_CHECK(total < 1 << 20);  // astronomically unlikely; catches RNG bugs
-  }
 }
 
 int Rng::next_geometric(double lambda) {

@@ -10,6 +10,7 @@
 // SplitMix64 as its authors recommend.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -17,11 +18,23 @@
 
 namespace ccg {
 
+// The generator's hot path (seeding, raw bits, bounded, Bernoulli and
+// geometric draws) is defined inline below: the matchings and trials make
+// hundreds of thousands of draws and stream seedings per solve.
+
 // SplitMix64 step; used for seeding and for cheap stateless mixing.
-std::uint64_t splitmix64(std::uint64_t& state);
+inline std::uint64_t splitmix64(std::uint64_t& state) {
+  std::uint64_t z = (state += 0x9E3779B97F4A7C15ULL);
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+  return z ^ (z >> 31);
+}
 
 // Stateless mix of a key; handy to derive per-entity seeds.
-std::uint64_t mix64(std::uint64_t x);
+inline std::uint64_t mix64(std::uint64_t x) {
+  std::uint64_t s = x;
+  return splitmix64(s);
+}
 
 class Rng;
 
@@ -80,6 +93,61 @@ class Rng {
  private:
   std::uint64_t s_[4];
 };
+
+inline Rng::Rng(std::uint64_t seed) {
+  std::uint64_t s = seed;
+  for (auto& word : s_) word = splitmix64(s);
+}
+
+inline std::uint64_t Rng::next_u64() {
+  const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+  const std::uint64_t t = s_[1] << 17;
+  s_[2] ^= s_[0];
+  s_[3] ^= s_[1];
+  s_[1] ^= s_[2];
+  s_[0] ^= s_[3];
+  s_[2] ^= t;
+  s_[3] = std::rotl(s_[3], 45);
+  return result;
+}
+
+inline std::uint64_t Rng::next_below(std::uint64_t bound) {
+  // bound == 0 is a caller bug (an empty sampling window); the check
+  // throws rather than hitting `% 0` UB. Call sites where the window can
+  // legitimately empty out (e.g. a clique palette with no free colors in
+  // put-aside coloring) must skip the draw instead — see
+  // src/color/putaside.cpp.
+  CCG_CHECK(bound > 0);
+  // Lemire-style rejection to avoid modulo bias.
+  const std::uint64_t threshold = (~bound + 1) % bound;  // == 2^64 mod bound
+  for (;;) {
+    const std::uint64_t r = next_u64();
+    if (r >= threshold) return r % bound;
+  }
+}
+
+inline double Rng::next_double() {
+  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+}
+
+inline bool Rng::next_bool(double p) {
+  if (p <= 0.0) return false;
+  if (p >= 1.0) return true;
+  return next_double() < p;
+}
+
+inline int Rng::next_geometric_half() {
+  // Count consecutive 1-bits across 64-bit words; each bit is an
+  // independent Bernoulli(1/2) "success".
+  int total = 0;
+  for (;;) {
+    const std::uint64_t w = next_u64();
+    const int ones = std::countr_one(w);
+    total += ones;
+    if (ones < 64) return total;
+    CCG_CHECK(total < 1 << 20);  // astronomically unlikely; catches RNG bugs
+  }
+}
 
 // Reusable (seed, round) -> per-entity stream factory. Caches the
 // round-dependent prefix of the stream_rng key chain so the hot path pays

@@ -126,11 +126,13 @@ TEST(FingerprintMatching, EmptyOnTrueClique) {
 }
 
 // fingerprint_matching_into never materializes the neighborhood maxima
-// Y_v; it records hit[t][i] <=> Y_v[t] == Y_K[t] from the members that
-// attain Y_K[t]. Rebuild the dense Y_v from the draws left in the scratch
-// and check the equivalence cell by cell, on the full clique and on an
-// uncolored subset. The pairs themselves are pinned as golden values
-// (produced by the dense Y_v implementation) for this fixture.
+// Y_v; it records hit[t][i] <=> Y_v[t] == Y_K[t], and only for the trials
+// with a unique maximum (no later step reads another row). Rebuild Y_K,
+// the unique arg-max and the dense Y_v from the draws left in the scratch
+// and check them: Y_K and argmax for every trial, the hit row cell by
+// cell for every unique-max trial, on the full clique and on an uncolored
+// subset. The pairs themselves are pinned as golden values (produced by
+// the dense Y_v implementation) for this fixture.
 TEST(FingerprintMatching, HitMatrixMatchesNeighborhoodMaxima) {
   color::Params params;
   params.seed = 7;
@@ -145,6 +147,7 @@ TEST(FingerprintMatching, HitMatrixMatchesNeighborhoodMaxima) {
     ASSERT_GT(k, 0) << label;
     ASSERT_GE(fp.x.size(), static_cast<std::size_t>(sz) * k) << label;
     ASSERT_GE(fp.hit.size(), static_cast<std::size_t>(sz) * k) << label;
+    ASSERT_GE(fp.argmax.size(), static_cast<std::size_t>(k)) << label;
     std::map<int, int> local;
     for (int i = 0; i < sz; ++i) {
       local[members[static_cast<std::size_t>(i)]] = i;
@@ -152,11 +155,26 @@ TEST(FingerprintMatching, HitMatrixMatchesNeighborhoodMaxima) {
     const auto x = [&](int i, int t) {
       return fp.x[static_cast<std::size_t>(i) * k + t];
     };
-    int hits = 0, misses = 0;
+    int hits = 0, misses = 0, unique = 0, tied = 0;
     for (int t = 0; t < k; ++t) {
       int yk = sketch::kEmpty;
       for (int i = 0; i < sz; ++i) yk = std::max(yk, x(i, t));
       ASSERT_EQ(fp.yk.maxima[static_cast<std::size_t>(t)], yk) << label;
+      int count = 0, last = -1;
+      for (int i = 0; i < sz; ++i) {
+        if (x(i, t) == yk) {
+          ++count;
+          last = i;
+        }
+      }
+      const int want_arg = count == 1 ? last : -1;
+      ASSERT_EQ(fp.argmax[static_cast<std::size_t>(t)], want_arg)
+          << label << " trial " << t;
+      if (want_arg < 0) {
+        ++tied;
+        continue;
+      }
+      ++unique;
       for (int i = 0; i < sz; ++i) {
         int yv = -1;
         const int v = members[static_cast<std::size_t>(i)];
@@ -169,7 +187,9 @@ TEST(FingerprintMatching, HitMatrixMatchesNeighborhoodMaxima) {
         ++(hit ? hits : misses);
       }
     }
-    // Both outcomes occur, so the check is not vacuous.
+    // Every outcome occurs, so no check is vacuous.
+    EXPECT_GT(unique, 0) << label;
+    EXPECT_GT(tied, 0) << label;
     EXPECT_GT(hits, 0) << label;
     EXPECT_GT(misses, 0) << label;
   };
@@ -259,7 +279,9 @@ TEST(ColorAntiMatching, ColorsAllPairsProperly) {
 // vertices, this round's proposers) when its adjacency bitset row makes
 // that cheaper than scanning N(v), and scan otherwise. Both tests are
 // exact, so the colorings and palettes must equal those of the scan-only
-// implementation, pinned here from it at threads {1,2,4}.
+// implementation, pinned here from it at threads {1,2,4}. The colorful
+// matching skips the verdicts no commit can read; the anti-dense pin was
+// recorded from the implementation that ran every proposer's verdict.
 
 using ccg::testing::coloring_hash;
 
@@ -326,7 +348,11 @@ graph::PlantedSpec pin_spec(int delta, int cliques, int anti, int ext) {
 }
 
 // Delta = 256: every clique row carries a bitset and the buckets are far
-// smaller than the degree, so the verdicts take the bucket path.
+// smaller than the degree. The colorful matching tests only the proposers
+// of groups with a non-adjacent pair (about 5 a round here), so it builds
+// the buckets only in the 7 of its 12 rounds whose tested rows scan more
+// than n + C; its verdicts take both paths, the bucket path in about 80%
+// of them.
 TEST(MatchingPins, PlantedDelta256BucketPath) {
   const MatchingPin pin{"delta256",
                         pin_spec(256, 3, 4, 12),
@@ -362,8 +388,10 @@ TEST(MatchingPins, PlantedDelta40ScanPath) {
 }
 
 // Delta = 64: most clique rows carry a bitset and a few fall just short,
-// so one round's verdicts take both paths (the bitset rows alone scan far
-// more than the n + C a bucket build costs).
+// so the verdicts of one round take both paths. The bucket decision is
+// priced by the tested proposers only, so the colorful matching builds
+// the buckets in 7 of its 12 rounds (the assertions below bound the
+// bitset degrees of all clique rows, not of the tested ones).
 TEST(MatchingPins, MixedRowsTakeBothPaths) {
   const auto spec = pin_spec(64, 3, 4, 8);
   {
@@ -394,6 +422,66 @@ TEST(MatchingPins, MixedRowsTakeBothPaths) {
                         16525420444361661467ull,
                         {23, 17, 18}};
   run_pin(pin);
+}
+
+// Anti-dense: with 16 anti-edges per vertex, a few percent of each
+// round's colorful proposers share a (clique, color) group with a
+// non-adjacent member, and their bitset rows scan more than the n + C a
+// bucket build costs, so the colorful verdicts take the bucket path.
+TEST(MatchingPins, AntiDenseColorfulBucketPath) {
+  const MatchingPin pin{"anti-dense delta256",
+                        pin_spec(256, 4, 16, 4),
+                        47,
+                        12,
+                        16842663010380953875ull,
+                        {12, 14, 12, 12},
+                        153,
+                        1108267678288616131ull,
+                        {45, 54, 51, 53}};
+  run_pin(pin);
+}
+
+// Solves that made the anti-matching color two adjacent vertices alike:
+// an endpoint u of a clashing pair was compared by its own id instead of
+// its pair's minimum, so when u was the larger endpoint of a pair whose
+// minimum was below the other pair's, neither pair yielded and the
+// properness check failed. Each must now solve, properly, at every thread
+// count.
+TEST(MatchingPins, AntiMatchingClashByPairMinimum) {
+  struct Repro {
+    const char* recipe;
+    bool oracle;
+    std::uint64_t seed;
+  };
+  const char* const d128 =
+      "--gen planted --delta 128 --cliques 6 --ext 2 --anti 10 "
+      "--graph-seed 16";
+  const char* const d256 =
+      "--gen planted --delta 256 --cliques 6 --ext 2 --anti 20 "
+      "--graph-seed 15";
+  const Repro repros[] = {{d128, true, 2},  {d128, true, 4},
+                          {d128, false, 3}, {d128, false, 4},
+                          {d256, true, 1}};
+  for (const auto& r : repros) {
+    const auto inst = svc::build_instance(svc::parse_job_flags(r.recipe));
+    ASSERT_TRUE(inst.error.empty()) << inst.error;
+    for (const int threads : {1, 2, 4}) {
+      SCOPED_TRACE(std::string(r.recipe) + (r.oracle ? " oracle" : "") +
+                   " seed " + std::to_string(r.seed) + " threads " +
+                   std::to_string(threads));
+      Solver solver;
+      Options opt;
+      opt.algo = Algo::kHighDegree;
+      opt.eps = 0.2;
+      opt.oracle = r.oracle;
+      opt.seed = r.seed;
+      opt.threads = threads;
+      const auto out = solver.solve(Problem::cluster(inst.cg), opt);
+      ASSERT_TRUE(out.ok()) << out.error.message;
+      EXPECT_TRUE(cluster::is_proper_total(inst.cg.h(), out.result.colors,
+                                           out.result.num_colors));
+    }
+  }
 }
 
 // The anti-matching's failure path: this fingerprint-ACD solve leaves
