@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
-#include <utility>
 
 #include "common/bits.hpp"
 #include "common/mathutil.hpp"
@@ -111,11 +110,12 @@ void attempt(cluster::Runtime& rt, const AcdParams& params,
     while (p <= P) s.range_begin[p++] = n;
   }
 
-  // Pass A, one range per worker: the per-edge buddy flags, each row's
-  // own upper-buddy count (parked in buddy_deg) and, per range, how many
-  // lower buddies the range's rows give every vertex (lower_cur row p).
-  // Every write lands in the range's rows or its own lower_cur row, so
-  // the flags and counts are partition-independent.
+  // Pass A, the attempt's one parallel dispatch, one range per worker:
+  // the per-edge buddy flags, each row's own upper-buddy count (parked in
+  // buddy_deg) and, per range, how many lower buddies the range's rows
+  // give every vertex (lower_cur row p). Every write lands in the range's
+  // rows or its own lower_cur row, so the flags and counts are
+  // partition-independent.
   if (s.workers.size() < P) s.workers.resize(P);
   s.buddy.resize(static_cast<std::size_t>(s.upper_off[un]));
   s.buddy_deg.resize(un);
@@ -126,16 +126,7 @@ void attempt(cluster::Runtime& rt, const AcdParams& params,
       static_cast<std::int64_t>(std::floor(buddy_limit));
   const auto words_per_row =
       static_cast<std::size_t>(h.bitset_words_per_row());
-  const auto for_ranges = [&](auto&& range) {
-    exec::shards_or_inline(
-        params.par, parts, [&](int w, std::int64_t b, std::int64_t e) {
-          for (std::int64_t p = b; p < e; ++p) {
-            range(s.workers[static_cast<std::size_t>(w)],
-                  static_cast<std::size_t>(p));
-          }
-        });
-  };
-  for_ranges([&](AcdScratch::Worker& ws, std::size_t p) {
+  const auto range = [&](AcdScratch::Worker& ws, std::size_t p) {
     int* lower = s.lower_cur.data() + p * un;
     if (!params.use_fingerprints) {
       ws.stamp.assign(un, -1);
@@ -211,60 +202,22 @@ void attempt(cluster::Runtime& rt, const AcdParams& params,
       }
       s.buddy_deg[uu] = own;
     }
-  });
+  };
+  exec::shards_or_inline(
+      params.par, parts, [&](int w, std::int64_t b, std::int64_t e) {
+        for (std::int64_t p = b; p < e; ++p) {
+          range(s.workers[static_cast<std::size_t>(w)],
+                static_cast<std::size_t>(p));
+        }
+      });
   if (!params.use_fingerprints) rt.charge(3, 2 * params.t + 16);
 
-  // Serial prefix, O(n * parts): buddy_off from the degrees, then each
-  // range's cursor into v's lower-buddy block (ranges in row order, so
-  // lower buddies come out ascending) and buddy_cur[v], the start of v's
-  // own upper buddies after them. This is the order of a serial fill
-  // over h.edges().
-  s.buddy_off.resize(un + 1);
-  s.buddy_cur.resize(un);
-  int off = 0;
-  for (std::size_t v = 0; v < un; ++v) {
-    s.buddy_off[v] = off;
-    int cur = off;
-    for (std::size_t p = 0; p < P; ++p) {
-      const int lower = s.lower_cur[p * un + v];
-      s.lower_cur[p * un + v] = cur;
-      cur += lower;
-    }
-    s.buddy_cur[v] = cur;
-    s.buddy_deg[v] += cur - off;
-    off += s.buddy_deg[v];
+  // Each vertex's buddy degree: its own upper buddies plus the lower
+  // buddies every range gives it.
+  for (std::size_t p = 0; p < P; ++p) {
+    const int* lower = s.lower_cur.data() + p * un;
+    for (std::size_t v = 0; v < un; ++v) s.buddy_deg[v] += lower[v];
   }
-  s.buddy_off[un] = off;
-  s.buddy_adj.resize(static_cast<std::size_t>(off));
-
-  // Pass C, same ranges: each buddy edge (u, v) writes v into u's upper
-  // block and u into v's lower block at the range's cursor. Slots are
-  // disjoint across ranges, so the fill is partition-independent.
-  for_ranges([&](AcdScratch::Worker&, std::size_t p) {
-    int* lower = s.lower_cur.data() + p * un;
-    for (int u = s.range_begin[p]; u < s.range_begin[p + 1]; ++u) {
-      const auto uu = static_cast<std::size_t>(u);
-      int pos = s.buddy_cur[uu];
-      if (pos == s.buddy_off[uu + 1]) continue;
-      const auto nb = h.neighbors(u);
-      const int e0 = s.upper_off[uu];
-      const int up = s.upper_off[uu + 1] - e0;
-      const int* upper =
-          nb.data() + (nb.size() - static_cast<std::size_t>(up));
-      const char* flag = s.buddy.data() + e0;
-      for (int j = 0; j < up; ++j) {
-        if (!flag[j]) continue;
-        const int v = upper[j];
-        s.buddy_adj[static_cast<std::size_t>(pos++)] = v;
-        s.buddy_adj[static_cast<std::size_t>(
-            lower[static_cast<std::size_t>(v)]++)] = u;
-      }
-    }
-  });
-  const auto buddies = [&](int v) {
-    return std::make_pair(s.buddy_off[static_cast<std::size_t>(v)],
-                          s.buddy_off[static_cast<std::size_t>(v) + 1]);
-  };
 
   // Step 3: buddy-degree threshold. Counting buddy edges is one more
   // fingerprint aggregation (predicate known at link machines); the count
@@ -279,58 +232,70 @@ void attempt(cluster::Runtime& rt, const AcdParams& params,
 
   // Step 4: connected components of the candidate-restricted buddy graph
   // (diameter <= 2 per [ACK19]; leader election is an O(1)-round BFS,
-  // Lemma 3.2).
+  // Lemma 3.2). Union-find over the flags, the smaller root winning, so
+  // every root is its component's smallest vertex: handing out ids in
+  // root order and members in vertex order numbers the components by
+  // their smallest vertex, whatever order the unions ran in.
   rt.charge(3, 2 * ceil_log2(static_cast<std::uint64_t>(std::max(2, n))));
-  const int min_clique_size = std::max(2, delta / 2);
-  auto& comp = s.comp;
-  auto& bfs = s.bfs;  // queue as vector + cursor
-  for (int src = 0; src < n; ++src) {
-    if (!s.candidate[static_cast<std::size_t>(src)] ||
-        res.clique_of[static_cast<std::size_t>(src)] != -1) {
-      continue;
+  s.root.resize(un);
+  int* root = s.root.data();
+  for (int v = 0; v < n; ++v) root[v] = v;
+  const auto find = [root](int v) {
+    while (root[v] != v) {
+      root[v] = root[root[v]];  // path halving
+      v = root[v];
     }
-    comp.clear();
-    bfs.clear();
-    bfs.push_back(src);
-    res.clique_of[static_cast<std::size_t>(src)] = -2;  // visiting marker
-    comp.push_back(src);
-    for (std::size_t head = 0; head < bfs.size(); ++head) {
-      const int v = bfs[head];
-      const auto [b, e] = buddies(v);
-      for (int i = b; i < e; ++i) {
-        const int u = s.buddy_adj[static_cast<std::size_t>(i)];
-        if (!s.candidate[static_cast<std::size_t>(u)] ||
-            res.clique_of[static_cast<std::size_t>(u)] != -1) {
-          continue;
-        }
-        res.clique_of[static_cast<std::size_t>(u)] = -2;
-        comp.push_back(u);
-        bfs.push_back(u);
+    return v;
+  };
+  for (int u = 0; u < n; ++u) {
+    const auto uu = static_cast<std::size_t>(u);
+    if (!s.candidate[uu]) continue;
+    const auto nb = h.neighbors(u);
+    const int e0 = s.upper_off[uu];
+    const int up = s.upper_off[uu + 1] - e0;
+    const int* upper = nb.data() + (nb.size() - static_cast<std::size_t>(up));
+    const char* flag = s.buddy.data() + e0;
+    for (int j = 0; j < up; ++j) {
+      if (!flag[j] || !s.candidate[static_cast<std::size_t>(upper[j])]) {
+        continue;
+      }
+      const int a = find(u);
+      const int b = find(upper[j]);
+      if (a < b) {
+        root[b] = a;
+      } else {
+        root[a] = b;
       }
     }
-    if (static_cast<int>(comp.size()) < min_clique_size) {
-      // Too small to be an almost-clique; members stay sparse. Mark them
-      // permanently so we do not revisit (use -3, normalized below).
-      for (const int v : comp) {
-        res.clique_of[static_cast<std::size_t>(v)] = -3;
-      }
-      continue;
-    }
-    const int id = res.num_cliques++;
-    for (const int v : comp) {
-      res.clique_of[static_cast<std::size_t>(v)] = id;
-    }
-    // Grow-only member storage: reuse the inner vector of this id when a
-    // previous run left one behind.
-    if (static_cast<int>(res.members.size()) < res.num_cliques) {
-      res.members.emplace_back();
-    }
-    auto& mem = res.members[static_cast<std::size_t>(id)];
-    mem.assign(comp.begin(), comp.end());
-    std::sort(mem.begin(), mem.end());
   }
-  for (auto& c : res.clique_of) {
-    if (c < -1) c = -1;
+  // comp[r]: size of the component rooted at r.
+  s.comp.assign(un, 0);
+  for (int v = 0; v < n; ++v) {
+    if (!s.candidate[static_cast<std::size_t>(v)]) continue;
+    root[v] = find(v);
+    ++s.comp[static_cast<std::size_t>(root[v])];
+  }
+  // Components below max(2, Delta/2) are too small to be almost-cliques;
+  // their members stay sparse.
+  const int min_clique_size = std::max(2, delta / 2);
+  for (int v = 0; v < n; ++v) {
+    const auto vv = static_cast<std::size_t>(v);
+    if (!s.candidate[vv] ||
+        s.comp[static_cast<std::size_t>(root[v])] < min_clique_size) {
+      continue;
+    }
+    if (root[v] == v) {
+      res.clique_of[vv] = res.num_cliques++;
+      // Grow-only member storage: reuse the inner vector of this id when
+      // a previous run left one behind.
+      if (static_cast<int>(res.members.size()) < res.num_cliques) {
+        res.members.emplace_back();
+      }
+      res.members[static_cast<std::size_t>(res.clique_of[vv])].clear();
+    }
+    const int id = res.clique_of[static_cast<std::size_t>(root[v])];
+    res.clique_of[vv] = id;
+    res.members[static_cast<std::size_t>(id)].push_back(v);
   }
 }
 

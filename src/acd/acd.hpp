@@ -12,6 +12,7 @@
 //   4. almost-cliques = connected components of the buddy graph restricted
 //      to dense candidates ([ACK19, Lemma 4.8]); they have diameter <= 2,
 //      so an O(1)-round BFS elects each component's leader (Lemma 3.2).
+//      The simulator finds them by union-find over the buddy flags.
 //
 // An exact oracle mode computes the same decomposition from true degrees
 // and true joint-neighborhood sizes while charging identical rounds; the
@@ -27,11 +28,12 @@
 //
 // Both modes walk each row's upper neighbors (v > u) in place, with no
 // edge list: one contiguous row range per worker, balanced by the upper
-// degree of high rows, computes the flags and counts the buddy CSR, and a
-// second pass over the same ranges fills it. The CSR is the one a serial
-// fill over h.edges() builds (per vertex: lower buddies ascending, then
-// upper buddies ascending), so the components, clique ids and members do
-// not depend on the worker count.
+// degree of high rows, computes the per-edge buddy flags and the buddy
+// degrees in a single parallel pass. A serial union-find sweep over the
+// flags then joins candidate buddies, the smaller root winning. Every
+// root is its component's smallest vertex, so clique ids go to
+// components in order of their smallest vertex and members come out
+// ascending, for any worker count and any union order.
 #pragma once
 
 #include <cstdint>
@@ -53,8 +55,8 @@ struct AcdParams {
   int t = 96;          // fingerprint width for all estimates
   bool use_fingerprints = true;  // false -> exact oracle mode (same cost)
   bool measure_bits = true;
-  // Optional round engine: parallelizes the buddy flags and the buddy CSR
-  // over balanced row ranges. Results are identical with or without it.
+  // Optional round engine: parallelizes the buddy flags and degrees over
+  // balanced row ranges. Results are identical with or without it.
   exec::ParallelRound* par = nullptr;
 };
 
@@ -89,8 +91,7 @@ struct AcdScratch {
   // range_begin[p, p+1): worker p's rows, balanced by high rows' upper
   // degrees.
   std::vector<int> range_begin;
-  // Row p * n + v: lower buddies range p gives v, then range p's fill
-  // cursor into v's lower block.
+  // Row p * n + v: how many lower buddies range p gives v.
   std::vector<int> lower_cur;
   // Oracle mode, per worker: the stamp array and u's bitset row packed
   // densest word first (bits::pack_densest_first).
@@ -106,11 +107,11 @@ struct AcdScratch {
   // fingerprint decompositions skip the per-vertex buffer rebuilds.
   std::vector<sketch::Fingerprint> raw;
   sketch::CountResult counts;
-  // Buddy graph as flat CSR (count -> prefix-sum -> fill), so warm
-  // decompositions build it without heap traffic. buddy_cur[v] is where
-  // v's upper buddies start, after its lower ones.
-  std::vector<int> buddy_deg, buddy_off, buddy_cur, buddy_adj;
-  std::vector<int> comp, bfs;           // component collection + queue
+  std::vector<int> buddy_deg;  // per vertex: buddy edges at v
+  // Step 4's union-find: root[v] is v's parent, the smaller vertex of a
+  // union; after the sweep, v's component root. comp[r] is the size of
+  // the component rooted at r.
+  std::vector<int> root, comp;
 };
 
 // Stream-based, scratch-backed decomposition: every random draw comes from

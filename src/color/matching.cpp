@@ -599,7 +599,9 @@ int color_anti_matching(State& st,
     st.rt->charge(3, log_bits);
     std::swap(todo, next);
   }
-  CCG_CHECK_MSG(todo.empty(), "anti-matching pairs left uncolored");
+  // Pairs still live after kMctMaxRounds stay uncolored: the steps that
+  // follow (and the safety net) color their endpoints like any other
+  // uncolored vertex, and the final properness check still covers them.
   return colored;
 }
 

@@ -63,7 +63,11 @@ void fingerprint_matching_charge(State& st);
 // Algorithm 6 steps 2-3: colors each anti-edge pair with a common
 // non-reserved color via synchronized pair-level trials. Returns the
 // number of pairs colored. Verdicts pick between the same two exact tests
-// as colorful_matching_run, per pair.
+// as colorful_matching_run, per pair. After kMctMaxRounds trial rounds it
+// stops and leaves the remaining pairs uncolored (a documented degrade,
+// DESIGN.md): the phases that follow color their endpoints singly, which
+// costs the clique the pair's repeated color but keeps the coloring
+// proper.
 int color_anti_matching(State& st,
                         const std::vector<std::pair<int, int>>& pairs);
 

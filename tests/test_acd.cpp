@@ -373,11 +373,12 @@ TEST(Acd, OracleBuddyGraphMatchesBruteForce) {
   }
 }
 
-// The buddy CSR the way a serial fill over h.edges() builds it from the
-// per-edge flags (count -> prefix-sum -> fill in edge order), and the
-// components of its candidate-restricted graph by BFS in that order.
+// Buddy degrees from the per-edge flags, and the components of the
+// candidate-restricted buddy graph by BFS from each unvisited candidate in
+// ascending order: ids in order of each component's smallest vertex,
+// members sorted.
 struct SerialBuddyGraph {
-  std::vector<int> deg, off, adj;
+  std::vector<int> deg;
   AcdResult acd;
 };
 
@@ -387,25 +388,17 @@ SerialBuddyGraph serial_buddy_graph(const graph::Graph& h,
   const int n = h.n();
   const auto edges = h.edges();
   SerialBuddyGraph out;
-  out.deg.assign(static_cast<std::size_t>(n), 0);
-  for (std::size_t e = 0; e < edges.size(); ++e) {
-    if (!buddy[e]) continue;
-    ++out.deg[static_cast<std::size_t>(edges[e].first)];
-    ++out.deg[static_cast<std::size_t>(edges[e].second)];
-  }
-  out.off.assign(static_cast<std::size_t>(n) + 1, 0);
-  for (int v = 0; v < n; ++v) {
-    out.off[static_cast<std::size_t>(v) + 1] =
-        out.off[static_cast<std::size_t>(v)] +
-        out.deg[static_cast<std::size_t>(v)];
-  }
-  std::vector<int> cur(out.off.begin(), out.off.end() - 1);
-  out.adj.resize(static_cast<std::size_t>(out.off.back()));
+  std::vector<std::vector<int>> adj(static_cast<std::size_t>(n));
   for (std::size_t e = 0; e < edges.size(); ++e) {
     if (!buddy[e]) continue;
     const auto& [u, v] = edges[e];
-    out.adj[static_cast<std::size_t>(cur[static_cast<std::size_t>(u)]++)] = v;
-    out.adj[static_cast<std::size_t>(cur[static_cast<std::size_t>(v)]++)] = u;
+    adj[static_cast<std::size_t>(u)].push_back(v);
+    adj[static_cast<std::size_t>(v)].push_back(u);
+  }
+  out.deg.assign(static_cast<std::size_t>(n), 0);
+  for (int v = 0; v < n; ++v) {
+    out.deg[static_cast<std::size_t>(v)] =
+        static_cast<int>(adj[static_cast<std::size_t>(v)].size());
   }
   const auto candidate = [&](int v) {
     return out.deg[static_cast<std::size_t>(v)] >= (1.0 - 2.0 * xi) * delta;
@@ -418,10 +411,7 @@ SerialBuddyGraph serial_buddy_graph(const graph::Graph& h,
     std::vector<int> comp{src};
     seen[static_cast<std::size_t>(src)] = 1;
     for (std::size_t head = 0; head < comp.size(); ++head) {
-      const int v = comp[head];
-      for (int i = out.off[static_cast<std::size_t>(v)];
-           i < out.off[static_cast<std::size_t>(v) + 1]; ++i) {
-        const int u = out.adj[static_cast<std::size_t>(i)];
+      for (const int u : adj[static_cast<std::size_t>(comp[head])]) {
         if (!candidate(u) || seen[static_cast<std::size_t>(u)]) continue;
         seen[static_cast<std::size_t>(u)] = 1;
         comp.push_back(u);
@@ -439,11 +429,11 @@ SerialBuddyGraph serial_buddy_graph(const graph::Graph& h,
   return out;
 }
 
-// The buddy CSR is built by parallel passes over balanced row ranges. It
-// must equal the serial fill over h.edges() entry for entry (order
-// included: BFS order follows it), in both modes and at every worker
-// count, and the flags must not depend on the worker count either.
-TEST(Acd, ParallelBuddyCsrMatchesSerial) {
+// The buddy flags and degrees come from one parallel pass over balanced
+// row ranges, and the components from a union-find sweep over the flags.
+// Flags, degrees, clique ids and members must equal the serial reference
+// in both modes and at every worker count.
+TEST(Acd, ParallelBuddyFlagsAndDegreesMatchSerial) {
   // E1-like: cliques at the front of the id space, then a sparse
   // low-degree tail three times their size.
   const auto e1_like = [] {
@@ -467,14 +457,48 @@ TEST(Acd, ParallelBuddyCsrMatchesSerial) {
     r.finalize();
     return r;
   };
+  // The same graph under a fixed random relabeling: the cliques' ids
+  // interleave with each other and with the sparse tail, so the unions
+  // do not run in the order of each component's smallest vertex.
+  const auto shuffled = [](const graph::Graph& g) {
+    Rng rng(44);
+    const auto id = rng.permutation(g.n());
+    graph::Graph r(g.n());
+    for (const auto& [u, v] : g.edges()) {
+      r.add_edge(id[static_cast<std::size_t>(u)],
+                 id[static_cast<std::size_t>(v)]);
+    }
+    r.finalize();
+    return r;
+  };
+  // Two 40-cliques at ids 0..79 and, at id 81, a high-degree vertex that
+  // is a buddy of 8 members of the first and 7 of the second (joint sizes
+  // 49 and 50 <= 1.3 Delta) but, with its one other edge to the
+  // low-degree vertex 80, falls one buddy short of the candidate
+  // threshold: it must not join the two cliques into one component.
+  const auto non_candidate_bridge = [] {
+    graph::Graph g(82);
+    for (const int lo : {0, 40}) {
+      for (int u = lo; u < lo + 40; ++u) {
+        for (int v = u + 1; v < lo + 40; ++v) g.add_edge(u, v);
+      }
+    }
+    for (int u = 0; u < 8; ++u) g.add_edge(u, 81);
+    for (int u = 40; u < 47; ++u) g.add_edge(u, 81);
+    g.add_edge(80, 81);
+    g.finalize();
+    return g;
+  };
   const struct {
     std::string label;
     graph::Graph g;
   } cases[] = {
       {"e1-like", e1_like()},
       {"e1-like, dense tail", reversed(e1_like())},
+      {"e1-like, shuffled ids", shuffled(e1_like())},
       {"delta40 (no bitset rows)", planted_graph(40, 42)},
       {"mixed rows", straddle_graph(43)},
+      {"non-candidate bridge", non_candidate_bridge()},
   };
   for (const auto& c : cases) {
     const auto& g = c.g;
@@ -483,7 +507,7 @@ TEST(Acd, ParallelBuddyCsrMatchesSerial) {
       std::vector<char> first_flags;
       int cliques = 0;
       // One scratch for every worker count: warm reuse must not leak the
-      // previous run's counts or cursors.
+      // previous run's counts or roots.
       AcdScratch scratch;
       for (const int threads : {1, 2, 3, 4, 8}) {
         const std::string at = c.label +
@@ -512,8 +536,6 @@ TEST(Acd, ParallelBuddyCsrMatchesSerial) {
         const auto want =
             serial_buddy_graph(g, scratch.buddy, rt.delta(), params.xi);
         EXPECT_EQ(scratch.buddy_deg, want.deg) << at;
-        EXPECT_EQ(scratch.buddy_off, want.off) << at;
-        EXPECT_EQ(scratch.buddy_adj, want.adj) << at;
         EXPECT_FALSE(threw) << at;
         if (threw) continue;
         EXPECT_EQ(got.clique_of, want.acd.clique_of) << at;

@@ -484,14 +484,16 @@ TEST(MatchingPins, AntiMatchingClashByPairMinimum) {
   }
 }
 
-// The anti-matching's failure path: this fingerprint-ACD solve leaves
-// pairs uncolored (the known defect perfbench/README.md reproduces) and
-// must keep failing the same way, with the same uncolored count.
+// The anti-matching's stall: this fingerprint-ACD solve leaves pairs live
+// after kMctMaxRounds trial rounds. They stay uncolored, the phases that
+// follow color their endpoints, and the solve returns a proper coloring at
+// every thread count.
 TEST(MatchingPins, AntiMatchingFailureReproducer) {
   const auto inst = svc::build_instance(svc::parse_job_flags(
       "--gen planted --delta 256 --cliques 3 --ext 24 --anti 2 --sparse 300 "
       "--layout tree --cluster-size 4 --graph-seed 889352101"));
   ASSERT_TRUE(inst.error.empty()) << inst.error;
+  std::vector<int> first_colors;
   for (const int threads : {1, 2}) {
     Solver solver;
     Options opt;
@@ -500,15 +502,16 @@ TEST(MatchingPins, AntiMatchingFailureReproducer) {
     opt.seed = 941314231;
     opt.threads = threads;
     const auto out = solver.solve(Problem::cluster(inst.cg), opt);
-    EXPECT_EQ(out.error.code, ErrorCode::kInternal) << "threads " << threads;
-    const std::string& msg = out.error.message;
-    EXPECT_EQ(msg.rfind("CCG_CHECK failed: (todo.empty()) at ", 0), 0u)
-        << msg;
-    EXPECT_NE(msg.find("src/color/matching.cpp:"), std::string::npos) << msg;
-    const std::string tail = " — anti-matching pairs left uncolored";
-    ASSERT_GE(msg.size(), tail.size());
-    EXPECT_EQ(msg.substr(msg.size() - tail.size()), tail) << msg;
-    EXPECT_EQ(out.uncolored, 173) << "threads " << threads;
+    ASSERT_TRUE(out.ok()) << "threads " << threads << ": "
+                          << out.error.message;
+    EXPECT_EQ(out.uncolored, 0) << "threads " << threads;
+    EXPECT_TRUE(cluster::is_proper_total(inst.cg.h(), out.result.colors,
+                                         out.result.num_colors))
+        << "threads " << threads;
+    // On this instance the degrade ends in the safety net.
+    EXPECT_GT(out.result.fallback_count, 0) << "threads " << threads;
+    if (first_colors.empty()) first_colors = out.result.colors;
+    EXPECT_EQ(out.result.colors, first_colors) << "threads " << threads;
   }
 }
 
