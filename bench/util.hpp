@@ -25,8 +25,10 @@ inline void header(const std::string& title, const std::string& claim) {
   std::printf("paper claim: %s\n", claim.c_str());
 }
 
+// Cells are left-aligned in 14-character columns; a longer cell widens
+// its column, and a space always separates it from the next.
 inline void row(const std::vector<std::string>& cells) {
-  for (const auto& c : cells) std::printf("%-14s", c.c_str());
+  for (const auto& c : cells) std::printf("%-13s ", c.c_str());
   std::printf("\n");
 }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <queue>
-#include <set>
 
 #include "common/mathutil.hpp"
 
@@ -63,16 +62,49 @@ void finish_cluster(Cluster& c) {
 
 }  // namespace
 
-std::int64_t ClusterGraph::link_key(int u, int v) const {
-  const auto [a, b] = std::minmax(u, v);
-  return static_cast<std::int64_t>(a) * num_clusters() + b;
+void ClusterGraph::index_h_edges() {
+  const int n = h_.n();
+  upper_off_.resize(static_cast<std::size_t>(n) + 1);
+  upper_off_[0] = 0;
+  for (int u = 0; u < n; ++u) {
+    const auto nb = h_.neighbors(u);
+    upper_off_[static_cast<std::size_t>(u) + 1] =
+        upper_off_[static_cast<std::size_t>(u)] +
+        (nb.end() - std::upper_bound(nb.begin(), nb.end(), u));
+  }
 }
 
-const std::vector<std::pair<int, int>>& ClusterGraph::links(int u,
-                                                            int v) const {
-  const auto it = links_.find(link_key(u, v));
-  CCG_CHECK_MSG(it != links_.end(), "no links for H-edge " << u << "," << v);
-  return it->second;
+std::int64_t ClusterGraph::edge_index(int u, int v) const {
+  const auto [a, b] = std::minmax(u, v);
+  CCG_CHECK_MSG(a >= 0 && b < num_clusters(),
+                "no links for H-edge " << u << "," << v);
+  const auto nb = h_.neighbors(a);
+  const auto it = std::lower_bound(nb.begin(), nb.end(), b);
+  CCG_CHECK_MSG(it != nb.end() && *it == b,
+                "no links for H-edge " << u << "," << v);
+  // Row a ends with its upper neighbors, the last of them is edge
+  // upper_off_[a + 1] - 1; b sits (nb.end() - it) places from the end.
+  return upper_off_[static_cast<std::size_t>(a) + 1] - (nb.end() - it);
+}
+
+LinkSpan ClusterGraph::links(int u, int v) const {
+  if (singleton_) {
+    CCG_CHECK_MSG(u >= 0 && u < num_clusters() && v >= 0 &&
+                      v < num_clusters() && h_.has_edge(u, v),
+                  "no links for H-edge " << u << "," << v);
+    return LinkSpan(std::minmax(u, v));
+  }
+  const auto e = static_cast<std::size_t>(edge_index(u, v));
+  const auto b = static_cast<std::size_t>(link_off_[e]);
+  return {link_pairs_.data() + b,
+          static_cast<std::size_t>(link_off_[e + 1]) - b};
+}
+
+void ClusterGraph::set_dilation() {
+  for (const auto& c : clusters_) {
+    dilation_ = std::max(dilation_, c.diameter);
+    max_height_ = std::max(max_height_, c.height);
+  }
 }
 
 int ClusterGraph::default_bandwidth(int beta) const {
@@ -84,7 +116,7 @@ int ClusterGraph::default_bandwidth(int beta) const {
 ClusterGraph ClusterGraph::singleton(graph::Graph h) {
   h.finalize();
   ClusterGraph cg;
-  cg.machines_ = h;
+  cg.singleton_ = true;
   cg.h_ = std::move(h);
   const int n = cg.h_.n();
   cg.cluster_of_.resize(static_cast<std::size_t>(n));
@@ -94,13 +126,8 @@ ClusterGraph ClusterGraph::singleton(graph::Graph h) {
     auto& c = cg.clusters_[static_cast<std::size_t>(v)];
     c.members = {v};
     c.parent = {-1};
-    finish_cluster(c);
+    c.depth = {0};  // a one-machine tree: height and diameter stay 0
   }
-  for (const auto& [u, v] : cg.h_.edges()) {
-    cg.links_[cg.link_key(u, v)].push_back({u, v});
-  }
-  cg.dilation_ = 0;
-  cg.max_height_ = 0;
   return cg;
 }
 
@@ -175,25 +202,30 @@ ClusterGraph ClusterGraph::expand(const graph::Graph& h,
     }
   };
 
+  // H-edges in h_.edges() order; each edge's distinct links ascending.
+  cg.index_h_edges();
+  cg.link_off_.reserve(static_cast<std::size_t>(cg.h_.m()) + 1);
+  cg.link_off_.push_back(0);
+  auto& pairs = cg.link_pairs_;
+  pairs.reserve(static_cast<std::size_t>(cg.h_.m()) *
+                static_cast<std::size_t>(spec.links_per_edge));
   for (const auto& [u, v] : cg.h_.edges()) {
-    std::set<std::pair<int, int>> chosen;
+    const auto first = static_cast<std::ptrdiff_t>(pairs.size());
     for (int i = 0; i < spec.links_per_edge; ++i) {
       const int mu = attach(u, v);
       const int mv = attach(v, u);
-      chosen.insert({mu, mv});
+      pairs.emplace_back(mu, mv);
     }
-    auto& link_list = cg.links_[cg.link_key(u, v)];
-    for (const auto& [mu, mv] : chosen) {
-      machines.add_edge(mu, mv);
-      link_list.push_back({mu, mv});
+    std::sort(pairs.begin() + first, pairs.end());
+    pairs.erase(std::unique(pairs.begin() + first, pairs.end()), pairs.end());
+    for (auto it = pairs.begin() + first; it != pairs.end(); ++it) {
+      machines.add_edge(it->first, it->second);
     }
+    cg.link_off_.push_back(static_cast<std::int64_t>(pairs.size()));
   }
   machines.finalize();
   cg.machines_ = std::move(machines);
-  for (const auto& c : cg.clusters_) {
-    cg.dilation_ = std::max(cg.dilation_, c.diameter);
-    cg.max_height_ = std::max(cg.max_height_, c.height);
-  }
+  cg.set_dilation();
   return cg;
 }
 
@@ -252,36 +284,48 @@ ClusterGraph ClusterGraph::from_partition(graph::Graph g,
     finish_cluster(cl);
   }
 
-  // H edges + links.
-  graph::Graph h(k);
-  std::set<std::pair<int, int>> h_edges;
-  for (const auto& [mu, mv] : g.edges()) {
+  // H-edges: the cluster pairs of the crossing G-edges, sorted and
+  // deduplicated. `crossing` keeps each crossing G-edge's link, normalized
+  // so that first lives in the lower-id cluster, in g's edge order.
+  std::vector<std::pair<int, int>> pairs;
+  std::vector<std::pair<int, int>> crossing;
+  for (int mu = 0; mu < g.n(); ++mu) {
     const int cu = cg.cluster_of_[static_cast<std::size_t>(mu)];
-    const int cv = cg.cluster_of_[static_cast<std::size_t>(mv)];
-    if (cu == cv) continue;
-    const auto key = std::minmax(cu, cv);
-    if (h_edges.insert({key.first, key.second}).second) {
-      h.add_edge(cu, cv);
+    for (const int mv : g.neighbors(mu)) {
+      const int cv = cg.cluster_of_[static_cast<std::size_t>(mv)];
+      if (mv < mu || cu == cv) continue;
+      pairs.push_back(std::minmax(cu, cv));
+      crossing.push_back(cu < cv ? std::pair{mu, mv} : std::pair{mv, mu});
     }
   }
-  h.finalize();
-  cg.h_ = std::move(h);
-  for (const auto& [mu, mv] : g.edges()) {
-    const int cu = cg.cluster_of_[static_cast<std::size_t>(mu)];
-    const int cv = cg.cluster_of_[static_cast<std::size_t>(mv)];
-    if (cu == cv) continue;
-    // Normalized convention: pair.first lives in the lower-id cluster.
-    if (cu < cv) {
-      cg.links_[cg.link_key(cu, cv)].push_back({mu, mv});
-    } else {
-      cg.links_[cg.link_key(cu, cv)].push_back({mv, mu});
-    }
+  std::sort(pairs.begin(), pairs.end());
+  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+  cg.h_ = graph::Graph::from_edges(k, pairs);
+  cg.index_h_edges();
+
+  // Counting sort of the links by H-edge index; stable, so each H-edge
+  // lists its links in g's edge order.
+  std::vector<std::int64_t> edge_of(crossing.size());
+  cg.link_off_.assign(pairs.size() + 1, 0);
+  for (std::size_t i = 0; i < crossing.size(); ++i) {
+    const auto& [mu, mv] = crossing[i];
+    edge_of[i] =
+        cg.edge_index(cg.cluster_of_[static_cast<std::size_t>(mu)],
+                      cg.cluster_of_[static_cast<std::size_t>(mv)]);
+    ++cg.link_off_[static_cast<std::size_t>(edge_of[i]) + 1];
+  }
+  for (std::size_t e = 0; e < pairs.size(); ++e) {
+    cg.link_off_[e + 1] += cg.link_off_[e];
+  }
+  std::vector<std::int64_t> cursor(cg.link_off_.begin(),
+                                   cg.link_off_.end() - 1);
+  cg.link_pairs_.resize(crossing.size());
+  for (std::size_t i = 0; i < crossing.size(); ++i) {
+    cg.link_pairs_[static_cast<std::size_t>(
+        cursor[static_cast<std::size_t>(edge_of[i])]++)] = crossing[i];
   }
   cg.machines_ = std::move(g);
-  for (const auto& c : cg.clusters_) {
-    cg.dilation_ = std::max(cg.dilation_, c.diameter);
-    cg.max_height_ = std::max(cg.max_height_, c.height);
-  }
+  cg.set_dilation();
   return cg;
 }
 

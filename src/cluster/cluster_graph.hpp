@@ -15,10 +15,17 @@
 //                 (all inter-cluster information crosses one bridge link).
 //  * from_partition — start from G plus a machine->cluster assignment and
 //                 derive H, the direction of Definition 3.1 / Figure 1.
+//
+// Link storage. H's edges are numbered in h().edges() order: row u's
+// upper neighbors v > u, rows ascending (the index ComputeACD's pass A
+// uses). H-edge e's G-links are link_pairs_[link_off_[e], link_off_[e+1]),
+// one flat array beside H's CSR. A singleton stores no links and no copy
+// of H: its H-edge {u, v} is the one G-link (min(u, v), max(u, v)), and
+// machines() is h() itself.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -54,6 +61,26 @@ struct ExpandSpec {
   int links_per_edge = 1;  // parallel G-links per H-edge, >= 1
 };
 
+// The G-links of one H-edge: a view into the flat link array, or the one
+// link a singleton H-edge carries by value. Copy an element out before the
+// view goes away.
+class LinkSpan {
+ public:
+  using Link = std::pair<int, int>;
+  LinkSpan(const Link* data, std::size_t size) : data_(data), size_(size) {}
+  explicit LinkSpan(Link only) : size_(1), only_(only) {}
+
+  const Link* begin() const { return data_ != nullptr ? data_ : &only_; }
+  const Link* end() const { return begin() + size_; }
+  std::size_t size() const { return size_; }
+  const Link& front() const { return *begin(); }
+
+ private:
+  const Link* data_ = nullptr;
+  std::size_t size_ = 0;
+  Link only_{};
+};
+
 class ClusterGraph {
  public:
   static ClusterGraph singleton(graph::Graph h);
@@ -63,9 +90,11 @@ class ClusterGraph {
                                      std::vector<int> cluster_of);
 
   const graph::Graph& h() const { return h_; }
-  const graph::Graph& machines() const { return machines_; }
+  const graph::Graph& machines() const {
+    return singleton_ ? h_ : machines_;
+  }
   int num_clusters() const { return h_.n(); }
-  int n_machines() const { return machines_.n(); }
+  int n_machines() const { return machines().n(); }
 
   const Cluster& cluster(int v) const {
     return clusters_[static_cast<std::size_t>(v)];
@@ -81,22 +110,30 @@ class ClusterGraph {
 
   // G-links realizing H-edge {u, v} as machine pairs, normalized so that
   // pair.first lives in the lower-id cluster of {u, v}. Non-empty for every
-  // H-edge; may contain many parallel links.
-  const std::vector<std::pair<int, int>>& links(int u, int v) const;
+  // H-edge; may contain many parallel links. O(log deg) to find the edge.
+  LinkSpan links(int u, int v) const;
 
   // Default per-link bandwidth B = beta * ceil(log2 n_machines).
   int default_bandwidth(int beta = 4) const;
 
  private:
-  void build_support_trees();
-  void index_links();
-  std::int64_t link_key(int u, int v) const;
+  // Fills upper_off_ from h_ (finalized).
+  void index_h_edges();
+  // Index of H-edge {u, v} in h_.edges() order; CCG_CHECKs that it exists.
+  std::int64_t edge_index(int u, int v) const;
+  void set_dilation();
 
   graph::Graph h_;
-  graph::Graph machines_;
+  graph::Graph machines_;  // empty when singleton_: machines() is h_
+  bool singleton_ = false;
   std::vector<int> cluster_of_;
   std::vector<Cluster> clusters_;
-  std::unordered_map<std::int64_t, std::vector<std::pair<int, int>>> links_;
+  // upper_off_[u] = #H-edges {x, y}, x < y, with x < u (n + 1 entries);
+  // link_off_ has one entry per H-edge plus one. All three are empty for
+  // singletons.
+  std::vector<std::int64_t> upper_off_;
+  std::vector<std::int64_t> link_off_;
+  std::vector<std::pair<int, int>> link_pairs_;
   int dilation_ = 0;
   int max_height_ = 0;
 };

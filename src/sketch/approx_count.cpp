@@ -59,7 +59,7 @@ Fingerprint measured_tree_aggregate(
 
 // The G-side machine of the designated link for H-edge {v, u} on v's side.
 int designated_machine(const cluster::ClusterGraph& cg, int v, int u) {
-  const auto& link = cg.links(v, u).front();
+  const auto link = cg.links(v, u).front();
   return v < u ? link.first : link.second;
 }
 

@@ -8,8 +8,10 @@
 #include "cluster/cluster_graph.hpp"
 #include "cluster/runtime.hpp"
 #include "cluster/validate.hpp"
+#include "cluster/virtual_graph.hpp"
 #include "exec/parallel_round.hpp"
 #include "graph/generators.hpp"
+#include "helpers.hpp"
 
 namespace ccg::cluster {
 namespace {
@@ -26,6 +28,83 @@ TEST(ClusterGraph, SingletonIsCongest) {
     EXPECT_EQ(cg.cluster(v).leader(), v);
   }
   EXPECT_EQ(cg.links(0, 1).size(), 1u);
+}
+
+// A singleton shares H as its machine graph and stores no links: H-edge
+// {u, v} is the one link (min, max), in either argument order.
+TEST(ClusterGraph, SingletonSharesHAndDerivesLinks) {
+  Rng rng(3);
+  const auto cg = ClusterGraph::singleton(graph::gnm(40, 160, rng));
+  EXPECT_EQ(&cg.machines(), &cg.h());
+  for (const auto& [u, v] : cg.h().edges()) {
+    for (const auto& [a, b] : {std::pair{u, v}, std::pair{v, u}}) {
+      const auto links = cg.links(a, b);
+      ASSERT_EQ(links.size(), 1u);
+      EXPECT_EQ(links.front(), std::pair(u, v));
+    }
+  }
+  int x = 0, y = 1;
+  while (cg.h().has_edge(x, y)) ++y;
+  EXPECT_THROW(cg.links(x, y), ContractViolation);
+  EXPECT_THROW(cg.links(x, 40), ContractViolation);
+}
+
+// FNV hash of every H-edge's ordered link list, H-edges in h().edges()
+// order: pins both the links and their order within each list.
+std::uint64_t links_hash(const ClusterGraph& cg) {
+  std::uint64_t hash = 1469598103934665603ull;
+  for (const auto& [u, v] : cg.h().edges()) {
+    hash = testing::fnv_mix(hash, u);
+    hash = testing::fnv_mix(hash, v);
+    hash = testing::fnv_mix(
+        hash, static_cast<std::int64_t>(cg.links(u, v).size()));
+    for (const auto& [mu, mv] : cg.links(u, v)) {
+      hash = testing::fnv_mix(hash, mu);
+      hash = testing::fnv_mix(hash, mv);
+    }
+  }
+  return hash;
+}
+
+TEST(ClusterGraph, GoldenLinksExpand) {
+  // kPath and kBalancedBinary draw no RNG for their trees and attach links
+  // at the same random members, so their links coincide.
+  const std::pair<ClusterShape, std::uint64_t> pins[] = {
+      {ClusterShape::kSingleton, 7641136080686039171ull},
+      {ClusterShape::kStar, 1778892454648624507ull},
+      {ClusterShape::kPath, 9519911555430089396ull},
+      {ClusterShape::kRandomTree, 7081467929526206390ull},
+      {ClusterShape::kBalancedBinary, 9519911555430089396ull},
+      {ClusterShape::kBridgePath, 4672696505849683227ull},
+  };
+  for (const auto& [shape, pin] : pins) {
+    Rng rng(7);
+    const auto h = graph::gnm(30, 90, rng);
+    ExpandSpec spec;
+    spec.shape = shape;
+    spec.size = 5;
+    spec.links_per_edge = 2;
+    const auto cg = ClusterGraph::expand(h, spec, rng);
+    EXPECT_EQ(links_hash(cg), pin) << static_cast<int>(shape);
+  }
+}
+
+TEST(ClusterGraph, GoldenLinksFromPartition) {
+  Rng rng(17);
+  const auto g = graph::gnm(300, 1200, rng);
+  ASSERT_TRUE(g.is_connected());
+  const auto cg =
+      ClusterGraph::from_partition(g, random_partition(g, 40, rng));
+  EXPECT_EQ(links_hash(cg), 14453292524781491999ull);
+  int x = 0, y = 1;
+  while (cg.h().has_edge(x, y)) ++y;
+  EXPECT_THROW(cg.links(x, y), ContractViolation);
+  EXPECT_THROW(cg.links(x, x), ContractViolation);
+}
+
+TEST(ClusterGraph, GoldenLinksDistance2) {
+  const auto vg = VirtualGraph::distance2(graph::grid(9, 7));
+  EXPECT_EQ(links_hash(vg.representation()), 943271399744217815ull);
 }
 
 class ExpandShapes : public ::testing::TestWithParam<ClusterShape> {};
@@ -61,7 +140,7 @@ TEST_P(ExpandShapes, StructureInvariants) {
   // Every H-edge has >= 1 link; endpoints in right clusters (first in the
   // lower-id cluster).
   for (const auto& [u, v] : h.edges()) {
-    const auto& links = cg.links(u, v);
+    const auto links = cg.links(u, v);
     EXPECT_GE(links.size(), 1u);
     EXPECT_LE(links.size(), 2u);
     for (const auto& [mu, mv] : links) {

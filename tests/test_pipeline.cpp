@@ -389,12 +389,12 @@ std::vector<PhasePin> phase_pins(const color::Result& res) {
 
 enum class Path { kHigh, kLow };
 
-void expect_pipeline_pins(const graph::Graph& g, const color::Params& params,
-                          Path path, std::uint64_t colors_hash,
+void expect_pipeline_pins(const cluster::ClusterGraph& cg,
+                          const color::Params& params, Path path,
+                          std::uint64_t colors_hash,
                           const std::vector<PhasePin>& phases) {
   for (const int threads : {1, 4}) {
     SCOPED_TRACE("threads " + std::to_string(threads));
-    const auto cg = cluster::ClusterGraph::singleton(g);
     net::Ledger ledger(cg.default_bandwidth());
     cluster::Runtime rt(cg, ledger);
     auto p = params;
@@ -406,7 +406,7 @@ void expect_pipeline_pins(const graph::Graph& g, const color::Params& params,
       lowdeg::run_low_degree(st);
     }
     const auto res = color::finalize_result(st);
-    cluster::check_proper_total(g, res.colors, res.num_colors);
+    cluster::check_proper_total(cg.h(), res.colors, res.num_colors);
     EXPECT_EQ(testing::coloring_hash(res.colors), colors_hash);
     EXPECT_EQ(phase_pins(res), phases);
   }
@@ -432,7 +432,8 @@ TEST(PipelinePins, OracleHighDegreeE1Mixture) {
   spec.num_sparse = 3200;
   spec.sparse_avg_deg = 64.0;
   const auto planted = graph::make_planted_acd(spec, rng);
-  expect_pipeline_pins(planted.g, pipeline_params(planted.g.n(), 1003),
+  expect_pipeline_pins(cluster::ClusterGraph::singleton(planted.g),
+                       pipeline_params(planted.g.n(), 1003),
                        Path::kHigh, 17955717656001291614ull,
                        {{"1-acd", 11, 61, 0, 430},
                         {"2-slack-generation", 2, 2, 0, 26},
@@ -490,7 +491,8 @@ TEST(PipelinePins, OracleHighDegreeCabalOutliers) {
   spec.anti_deg = 2;
   spec.external_deg = 2;
   const auto g = with_outliers(graph::make_planted_acd(spec, rng));
-  expect_pipeline_pins(g, pipeline_params(g.n(), 1033), Path::kHigh,
+  expect_pipeline_pins(cluster::ClusterGraph::singleton(g),
+                       pipeline_params(g.n(), 1033), Path::kHigh,
                        13101121598972376156ull,
                        {{"1-acd", 11, 55, 0, 310},
                         {"2-slack-generation", 2, 2, 0, 20},
@@ -512,7 +514,8 @@ TEST(PipelinePins, FingerprintHighDegreeMeasuredBits) {
   auto params = pipeline_params(planted.g.n(), 1013);
   params.use_fingerprint_acd = true;
   params.measure_bits = true;
-  expect_pipeline_pins(planted.g, params, Path::kHigh, 132891612967561136ull,
+  expect_pipeline_pins(cluster::ClusterGraph::singleton(planted.g), params,
+                       Path::kHigh, 132891612967561136ull,
                        {{"1-acd", 19, 189, 0, 756},
                         {"2-slack-generation", 2, 2, 0, 20},
                         {"3-sparse", 64, 64, 0, 40},
@@ -525,6 +528,34 @@ TEST(PipelinePins, FingerprintHighDegreeMeasuredBits) {
                         {"5-cabals", 68, 95, 0, 220}});
 }
 
+// The only pin whose solve reads G-links: measured fingerprint
+// aggregation climbs each cluster's support tree from the designated link
+// endpoints (the full_stack perfbench shape at a smaller Delta).
+TEST(PipelinePins, FingerprintMeasuredBitsOnClusterTrees) {
+  Rng rng(1041);
+  graph::PlantedSpec spec;
+  spec.delta = 96;
+  spec.num_cliques = 4;
+  spec.anti_deg = 2;
+  spec.external_deg = 10;
+  spec.num_sparse = 300;
+  spec.sparse_avg_deg = 24.0;
+  const auto planted = graph::make_planted_acd(spec, rng);
+  cluster::ExpandSpec es;
+  es.shape = cluster::ClusterShape::kRandomTree;
+  es.size = 4;
+  const auto cg = cluster::ClusterGraph::expand(planted.g, es, rng);
+  auto params = pipeline_params(planted.g.n(), 1043);
+  params.use_fingerprint_acd = true;
+  params.measure_bits = true;
+  expect_pipeline_pins(cg, params, Path::kHigh, 3318721582020447718ull,
+                       {{"1-acd", 11, 630, 0, 724},
+                        {"2-slack-generation", 2, 14, 0, 20},
+                        {"3-sparse", 54, 378, 0, 40},
+                        {"4-noncabals", 0, 0, 0, 0},
+                        {"5-cabals", 65, 623, 0, 214}});
+}
+
 TEST(PipelinePins, LowDegreePolylogRegime) {
   Rng rng(1021);
   graph::PlantedSpec spec;
@@ -535,7 +566,8 @@ TEST(PipelinePins, LowDegreePolylogRegime) {
   spec.num_sparse = 200;
   spec.sparse_avg_deg = 15.0;
   const auto planted = graph::make_planted_acd(spec, rng);
-  expect_pipeline_pins(planted.g, pipeline_params(planted.g.n(), 1023),
+  expect_pipeline_pins(cluster::ClusterGraph::singleton(planted.g),
+                       pipeline_params(planted.g.n(), 1023),
                        Path::kLow, 2592355032622047309ull,
                        {{"lowdeg-acd", 11, 55, 0, 286},
                         {"lowdeg-slackgen", 2, 2, 0, 18},
