@@ -14,6 +14,68 @@ namespace ccg::acd {
 
 namespace {
 
+// Oracle pass A on one high row u: flag[j] says whether u and its j-th
+// upper neighbor v are buddies, |N(u) ∩ N(v)| >= need on high-high edges
+// (see attempt). When both rows have an adjacency bitset (degree >= 64,
+// under Graph's memory cap), u's four densest words, picked once, settle
+// each edge against v's row, or leave it open; the first open edge packs
+// u's whole row, densest words first, and the exact kernel decides that
+// edge and the row's later ones. Rows without a bitset stamp N(u) once
+// and probe N(v). Cloned for popcnt, so the four-word popcounts inline.
+CCG_BITS_CLONED
+void oracle_row(const graph::Graph& h, const char* high,
+                AcdScratch::Worker& ws, int u, const int* upper, int up,
+                std::int64_t floor_limit, std::size_t words_per_row,
+                char* flag) {
+  const bool u_bits = h.has_bitset_row(u);
+  const bits::DensestFour top =
+      u_bits ? bits::densest_four(h.bitset_words(u), words_per_row)
+             : bits::DensestFour{};
+  std::size_t packed = 0;
+  bool is_packed = false, stamped = false;
+  for (int j = 0; j < up; ++j) {
+    const int v = upper[j];
+    char is_buddy = 0;
+    if (high[v]) {
+      const auto need = static_cast<int>(
+          static_cast<std::int64_t>(h.degree(u)) + h.degree(v) - floor_limit);
+      if (u_bits && h.has_bitset_row(v)) {
+        const std::uint64_t* row_v = h.bitset_words(v);
+        // A packed row goes straight to the kernel: its first four words
+        // are the same four.
+        const int settled =
+            is_packed ? -1 : bits::densest_four_decide(top, row_v, need);
+        if (settled >= 0) {
+          is_buddy = static_cast<char>(settled);
+        } else {
+          if (!is_packed) {
+            is_packed = true;
+            packed = bits::pack_densest_first(
+                h.bitset_words(u), words_per_row, ws.row_words.data(),
+                ws.row_index.data(), ws.row_rest.data());
+          }
+          is_buddy = bits::and_popcount_at_least(
+              ws.row_words.data(), ws.row_index.data(), ws.row_rest.data(),
+              packed, row_v, need);
+        }
+      } else {
+        if (!stamped) {
+          stamped = true;
+          for (const int x : h.neighbors(u)) {
+            ws.stamp[static_cast<std::size_t>(x)] = u;
+          }
+        }
+        int common = 0;
+        for (const int x : h.neighbors(v)) {
+          common += (ws.stamp[static_cast<std::size_t>(x)] == u);
+        }
+        is_buddy = common >= need;
+      }
+    }
+    flag[j] = is_buddy;
+  }
+}
+
 void attempt(cluster::Runtime& rt, const AcdParams& params,
              StreamCtx& streams, AcdResult& res, AcdScratch& s) {
   const auto& h = rt.h();
@@ -152,47 +214,8 @@ void attempt(cluster::Runtime& rt, const AcdParams& params,
                         buddy_limit;
         }
       } else {
-        // Exact |N(u) ∩ N(v)| >= need, needed only on high-high edges.
-        // When both rows have an adjacency bitset (degree >= 64, under
-        // Graph's memory cap), u's row is packed once, densest words
-        // first, and each edge is decided from as few of them as it
-        // takes. Rows without a bitset stamp N(u) once and probe N(v).
-        std::size_t packed = 0;
-        bool is_packed = false, stamped = false;
-        const bool u_bits = h.has_bitset_row(u);
-        for (int j = 0; j < up; ++j) {
-          const int v = upper[j];
-          char is_buddy = 0;
-          if (s.high[static_cast<std::size_t>(v)]) {
-            const auto need = static_cast<int>(
-                static_cast<std::int64_t>(h.degree(u)) + h.degree(v) -
-                floor_limit);
-            if (u_bits && h.has_bitset_row(v)) {
-              if (!is_packed) {
-                is_packed = true;
-                packed = bits::pack_densest_first(
-                    h.bitset_words(u), words_per_row, ws.row_words.data(),
-                    ws.row_index.data(), ws.row_rest.data());
-              }
-              is_buddy = bits::and_popcount_at_least(
-                  ws.row_words.data(), ws.row_index.data(),
-                  ws.row_rest.data(), packed, h.bitset_words(v), need);
-            } else {
-              if (!stamped) {
-                stamped = true;
-                for (const int x : nb) {
-                  ws.stamp[static_cast<std::size_t>(x)] = u;
-                }
-              }
-              int common = 0;
-              for (const int x : h.neighbors(v)) {
-                common += (ws.stamp[static_cast<std::size_t>(x)] == u);
-              }
-              is_buddy = common >= need;
-            }
-          }
-          flag[j] = is_buddy;
-        }
+        oracle_row(h, s.high.data(), ws, u, upper, up, floor_limit,
+                   words_per_row, flag);
       }
       for (int j = 0; j < up; ++j) {
         if (flag[j]) {
@@ -247,6 +270,9 @@ void attempt(cluster::Runtime& rt, const AcdParams& params,
     }
     return v;
   };
+  // Row u's root a is found once: a union keeps it a root or hangs it
+  // under a smaller root, which becomes the new a. A flagged v whose
+  // parent is already a needs no find.
   for (int u = 0; u < n; ++u) {
     const auto uu = static_cast<std::size_t>(u);
     if (!s.candidate[uu]) continue;
@@ -255,16 +281,19 @@ void attempt(cluster::Runtime& rt, const AcdParams& params,
     const int up = s.upper_off[uu + 1] - e0;
     const int* upper = nb.data() + (nb.size() - static_cast<std::size_t>(up));
     const char* flag = s.buddy.data() + e0;
+    int a = find(u);
     for (int j = 0; j < up; ++j) {
-      if (!flag[j] || !s.candidate[static_cast<std::size_t>(upper[j])]) {
+      const int v = upper[j];
+      if (!flag[j] || !s.candidate[static_cast<std::size_t>(v)] ||
+          root[v] == a) {
         continue;
       }
-      const int a = find(u);
-      const int b = find(upper[j]);
+      const int b = find(v);
       if (a < b) {
         root[b] = a;
-      } else {
+      } else if (b < a) {
         root[a] = b;
+        a = b;
       }
     }
   }

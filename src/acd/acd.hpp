@@ -21,16 +21,20 @@
 // edges whose endpoints both pass step 1's filter, as
 // |N(u) ∩ N(v)| >= deg u + deg v - floor((1 + xi) Delta), which is exactly
 // |N(u) ∪ N(v)| <= (1 + xi) Delta. When both rows carry an adjacency
-// bitset (graph::Graph keeps one per row of degree >= 64), u's row is
-// packed once, densest words first, and bits::and_popcount_at_least stops
-// as soon as the count or the popcount of the unread words settles it;
-// rows without a bitset use a stamp probe.
+// bitset (graph::Graph keeps one per row of degree >= 64), u's four
+// densest words (bits::densest_four, picked once per row) settle the edge
+// when their count reaches the bound or cannot with the rest of u's row.
+// Only an edge they leave open packs u's row, densest words first, and
+// bits::and_popcount_at_least stops as soon as the count or the popcount
+// of the unread words settles it; rows without a bitset use a stamp
+// probe.
 //
 // Both modes walk each row's upper neighbors (v > u) in place, with no
 // edge list: one contiguous row range per worker, balanced by the upper
 // degree of high rows, computes the per-edge buddy flags and the buddy
 // degrees in a single parallel pass. A serial union-find sweep over the
-// flags then joins candidate buddies, the smaller root winning. Every
+// flags then joins candidate buddies, the smaller root winning; each row
+// finds its own root once and follows it through the row's unions. Every
 // root is its component's smallest vertex, so clique ids go to
 // components in order of their smallest vertex and members come out
 // ascending, for any worker count and any union order.
@@ -94,7 +98,8 @@ struct AcdScratch {
   // Row p * n + v: how many lower buddies range p gives v.
   std::vector<int> lower_cur;
   // Oracle mode, per worker: the stamp array and u's bitset row packed
-  // densest word first (bits::pack_densest_first).
+  // densest word first (bits::pack_densest_first). The packed row serves
+  // only rows with an edge that u's four densest words leave open.
   struct Worker {
     std::vector<int> stamp;
     std::vector<std::uint64_t> row_words;  // nonzero words of u's row

@@ -60,6 +60,9 @@ bool any_bitset_neighbor(const graph::Graph& h, int v,
 
 constexpr auto kAny = [](int) { return true; };
 
+// Colorful-matching verdict batches below this many proposers run inline.
+constexpr std::int64_t kInlineVerdicts = 64;
+
 // True iff two of the participants on the chain from position `first`
 // (linked by `next`, -1 ends it) are non-adjacent.
 bool has_non_adjacent_pair(const graph::Graph& h,
@@ -199,11 +202,13 @@ void colorful_matching_run(State& st, const std::vector<int>& clique_ids,
     // the same color (symmetric drop; conservative) — a pure read of the
     // frozen candidate table. Each proposer takes the cheaper of two
     // exactly equivalent tests: probe its bitset row with c's buckets, or
-    // scan N(v).
+    // scan N(v). Fewer than kInlineVerdicts proposers run on the calling
+    // thread: waking a parked worker costs more than their verdicts.
     auto& verdicts = sc.verdicts;
     verdicts.assign(participants.size(), -1);
-    par.shards(static_cast<std::int64_t>(viable.size()),
-               [&](int, std::int64_t b, std::int64_t e) {
+    const auto tested = static_cast<std::int64_t>(viable.size());
+    exec::shards_or_inline(tested < kInlineVerdicts ? nullptr : &par, tested,
+                           [&](int, std::int64_t b, std::int64_t e) {
       for (std::int64_t i = b; i < e; ++i) {
         const auto pos =
             static_cast<std::size_t>(viable[static_cast<std::size_t>(i)]);

@@ -4,25 +4,6 @@
 
 namespace ccg::bits {
 
-// The clones dispatch through an ifunc resolver, which runs during
-// relocation, before a sanitizer runtime is up. ThreadSanitizer
-// instruments the resolver and crashes there, so TSan builds take the
-// plain definition.
-#if defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define CCG_BITS_TSAN 1
-#endif
-#endif
-#if defined(__SANITIZE_THREAD__)
-#define CCG_BITS_TSAN 1
-#endif
-
-#if CCG_BITS_HAVE_BUILTINS && defined(__x86_64__) && !defined(CCG_BITS_TSAN)
-#define CCG_BITS_CLONED __attribute__((target_clones("popcnt", "default")))
-#else
-#define CCG_BITS_CLONED
-#endif
-
 CCG_BITS_CLONED
 std::size_t pack_densest_first(const std::uint64_t* row, std::size_t words,
                                std::uint64_t* out_words,

@@ -7,10 +7,12 @@
 // plain-loop fallbacks below. The fallbacks are always compiled and unit
 // tested against the builtin path so they cannot rot.
 //
-// Two multi-word kernels live out of line in bits.cpp, both for the exact
-// buddy predicate of ComputeACD's oracle: pack_densest_first packs a
-// bitset row once, and and_popcount_at_least decides |A ∩ B| >= need from
-// the packed row's densest words on every high-high edge.
+// The multi-word helpers serve the exact buddy predicate of ComputeACD's
+// oracle. densest_four picks a bitset row's four densest words once, and
+// densest_four_decide settles |A ∩ B| >= need from them on each high-high
+// edge, inline in the caller. The edges they leave open go to two kernels
+// out of line in bits.cpp: pack_densest_first packs the whole row, and
+// and_popcount_at_least decides from the packed row's densest words.
 #pragma once
 
 #include <cstddef>
@@ -73,6 +75,27 @@ constexpr bool and_popcount_at_least(const std::uint64_t* a_words,
 #define CCG_BITS_HAVE_BUILTINS 0
 #endif
 
+// On x86-64 GCC/clang, CCG_BITS_CLONED compiles a definition twice, for
+// the popcnt instruction and for the baseline ISA, and picks one at load
+// time through an ifunc. Builds at plain -O2 (no -mpopcnt) would otherwise
+// pay a libgcc call per popcount64. The ifunc resolver runs during
+// relocation, before a sanitizer runtime is up; ThreadSanitizer instruments
+// it and crashes there, so TSan builds take the plain definition.
+#if defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define CCG_BITS_TSAN 1
+#endif
+#endif
+#if defined(__SANITIZE_THREAD__)
+#define CCG_BITS_TSAN 1
+#endif
+
+#if CCG_BITS_HAVE_BUILTINS && defined(__x86_64__) && !defined(CCG_BITS_TSAN)
+#define CCG_BITS_CLONED __attribute__((target_clones("popcnt", "default")))
+#else
+#define CCG_BITS_CLONED
+#endif
+
 // Number of set bits in x.
 constexpr int popcount64(std::uint64_t x) noexcept {
 #if CCG_BITS_HAVE_BUILTINS
@@ -98,14 +121,60 @@ constexpr int ffs64(std::uint64_t x) noexcept {
   return x == 0 ? 0 : ctz64(x) + 1;
 }
 
+// The four densest words of a bitset row: word[k] is word index[k] of the
+// row, by popcount descending, ties by word index, so they are the first
+// four entries of pack_densest_first. A row with fewer nonzero words pads
+// with zero words at index 0. rest is the popcount of the other words.
+struct DensestFour {
+  std::uint64_t word[4];
+  std::int32_t index[4];
+  int rest;
+};
+
+// One scan of row[0, words), words >= 1.
+constexpr DensestFour densest_four(const std::uint64_t* row,
+                                   std::size_t words) noexcept {
+  DensestFour top{};
+  int pc[4] = {};
+  int total = 0;
+  for (std::size_t i = 0; i < words; ++i) {
+    const int p = popcount64(row[i]);
+    total += p;
+    if (p <= pc[3]) continue;  // an equal count keeps the lower index
+    int k = 3;
+    for (; k > 0 && pc[k - 1] < p; --k) {
+      pc[k] = pc[k - 1];
+      top.word[k] = top.word[k - 1];
+      top.index[k] = top.index[k - 1];
+    }
+    pc[k] = p;
+    top.word[k] = row[i];
+    top.index[k] = static_cast<std::int32_t>(i);
+  }
+  top.rest = total - pc[0] - pc[1] - pc[2] - pc[3];
+  return top;
+}
+
+// Whether |A ∩ B| >= need, from A's four densest words and B a plain word
+// array: 1 when they already reach need, 0 when even all of A's other
+// bits could not, -1 when the four words leave it open.
+constexpr int densest_four_decide(const DensestFour& a,
+                                  const std::uint64_t* b,
+                                  int need) noexcept {
+  const int n = popcount64(a.word[0] & b[a.index[0]]) +
+                popcount64(a.word[1] & b[a.index[1]]) +
+                popcount64(a.word[2] & b[a.index[2]]) +
+                popcount64(a.word[3] & b[a.index[3]]);
+  if (n >= need) return 1;
+  if (n + a.rest < need) return 0;
+  return -1;
+}
+
 // Packs the nonzero words of row[0, words) densest first: out_words[i] is
 // word out_index[i] of the row, ordered by popcount descending (ties by
 // word index), and out_rest[i] is the popcount of out_words[i, count).
 // Returns count. A counting sort on popcount: allocation-free, and each
-// output array must hold `words` entries. On x86-64 GCC/clang the
-// definition is cloned for the popcnt instruction and picked at load time
-// (except under ThreadSanitizer, see bits.cpp), so builds at plain -O2 (no
-// -mpopcnt) do not pay a libgcc call per word.
+// output array must hold `words` entries. Cloned (CCG_BITS_CLONED).
 std::size_t pack_densest_first(const std::uint64_t* row, std::size_t words,
                                std::uint64_t* out_words,
                                std::int32_t* out_index,

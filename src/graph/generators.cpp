@@ -26,21 +26,22 @@ Graph gnp(int n, double p, Rng& rng) {
   std::int64_t idx = -1;
   const std::int64_t total =
       static_cast<std::int64_t>(n) * (n - 1) / 2;
+  // Decode the linear index to (row, col) of the upper triangle. The index
+  // only grows, so the row and its first index carry across samples.
+  int row = 0;
+  std::int64_t row_start = 0;
+  std::int64_t row_len = n - 1;
   for (;;) {
     double u = rng.next_double();
     while (u <= 0.0) u = rng.next_double();
     idx += 1 + static_cast<std::int64_t>(std::floor(std::log(u) / log1p_));
     if (idx >= total) break;
-    // Decode linear index to (row, col) of the upper triangle.
-    std::int64_t rem = idx;
-    int row = 0;
-    std::int64_t row_len = n - 1;
-    while (rem >= row_len) {
-      rem -= row_len;
+    while (idx - row_start >= row_len) {
+      row_start += row_len;
       ++row;
       --row_len;
     }
-    const int col = row + 1 + static_cast<int>(rem);
+    const int col = row + 1 + static_cast<int>(idx - row_start);
     g.add_edge(row, col);
   }
   g.finalize();

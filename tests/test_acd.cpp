@@ -552,6 +552,44 @@ TEST(Acd, ParallelBuddyFlagsAndDegreesMatchSerial) {
   }
 }
 
+// The union sweep finds row u's root once and moves it with each union
+// that hangs it under a smaller root. In this 12-vertex graph (Delta = 5,
+// found by a search over small random graphs) a row's root moves and the
+// same row then meets a third tree, and a later row starts below an
+// earlier union: a root left stale, or taken as u itself, splits the one
+// component {0, 2, 3, 5, 7, 8, 9, 10} in two.
+TEST(Acd, UnionSweepMovesTheRowRoot) {
+  graph::Graph g(12);
+  for (const auto& [u, v] : std::vector<std::pair<int, int>>{
+           {0, 6}, {0, 10}, {1, 2}, {1, 11}, {2, 5}, {3, 4}, {3, 7},
+           {4, 11}, {5, 7}, {6, 11}, {7, 8}, {7, 9}, {8, 9}, {8, 10},
+           {8, 11}, {9, 11}}) {
+    g.add_edge(u, v);
+  }
+  g.finalize();
+  const auto cg = cluster::ClusterGraph::singleton(g);
+  for (const int threads : {1, 2}) {
+    net::Ledger ledger(cg.default_bandwidth());
+    cluster::Runtime rt(cg, ledger);
+    exec::ParallelRound par(threads);
+    AcdParams params;
+    params.eps = 0.45;
+    params.xi = 0.3;
+    params.use_fingerprints = false;
+    params.par = &par;
+    StreamCtx streams(3);
+    AcdResult got;
+    AcdScratch scratch;
+    compute_acd(rt, params, streams, &got, &scratch);
+    const auto want =
+        serial_buddy_graph(g, scratch.buddy, rt.delta(), params.xi);
+    EXPECT_EQ(got.clique_of, want.acd.clique_of) << threads;
+    ASSERT_EQ(got.num_cliques, 1) << threads;
+    EXPECT_EQ(got.members[0], (std::vector<int>{0, 2, 3, 5, 7, 8, 9, 10}))
+        << threads;
+  }
+}
+
 // Two K_40 joined by a perfect matching: at xi = 1.5 every edge is a
 // buddy edge (joint size at most 80 = 2 Delta), so both cliques merge
 // into one component of 80 > (1 + 3 eps) Delta and the size check fails.

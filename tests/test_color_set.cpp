@@ -153,6 +153,95 @@ TEST(Bits, AndPopcountAtLeastMatchesCount) {
                                            nullptr, 1));
 }
 
+// densest_four + densest_four_decide, finished by the packed kernel when
+// the four words leave an edge open (ComputeACD's oracle per edge): the
+// four words are the packed row's first four (ties by index, zero-padded
+// below four nonzero words), rest is the popcount of the others, a settled
+// verdict is always right and an open one really is open, and the
+// composed decision equals |A ∩ B| >= need counted bit by bit for every
+// need from below 0 to above deg A.
+TEST(Bits, DensestFourDecidesLikeCount) {
+  static_assert([] {
+    const std::uint64_t a[] = {0x3ull, 0x3ull, 0, 0xFull, 0x3ull, 0x1ull};
+    const auto top = bits::densest_four(a, 6);
+    return top.index[0] == 3 && top.index[1] == 0 && top.index[2] == 1 &&
+           top.index[3] == 4 && top.rest == 1;
+  }());
+  Rng rng(95);
+  int opened = 0;
+  for (const int words : {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 17, 63, 64, 65, 124}) {
+    for (int rep = 0; rep < 60; ++rep) {
+      std::vector<std::uint64_t> a(static_cast<std::size_t>(words)),
+          b(static_cast<std::size_t>(words));
+      for (int i = 0; i < words; ++i) {
+        std::uint64_t x = rng.next_u64();
+        switch ((rep + i) % 6) {
+          case 0: x = 0; break;                                 // zero word
+          case 1: x &= rng.next_u64() & rng.next_u64(); break;  // sparse
+          case 2: x = std::uint64_t{0xF0F} << (i % 7); break;   // tied: 8 bits
+          default: break;
+        }
+        if (rep % 4 == 3 && i >= 3) x = 0;  // at most 3 nonzero words
+        a[static_cast<std::size_t>(i)] = x;
+        b[static_cast<std::size_t>(i)] =
+            rep % 2 == 0 ? rng.next_u64() | rng.next_u64() : rng.next_u64();
+      }
+      std::vector<std::uint64_t> packed(a.size());
+      std::vector<std::int32_t> index(a.size()), rest(a.size());
+      const std::size_t count = bits::pack_densest_first(
+          a.data(), a.size(), packed.data(), index.data(), rest.data());
+      const auto top = bits::densest_four(a.data(), a.size());
+      int top_pc = 0;
+      for (std::size_t k = 0; k < 4; ++k) {
+        if (k < count) {
+          EXPECT_EQ(top.word[k], packed[k]) << words << " slot " << k;
+          EXPECT_EQ(top.index[k], index[k]) << words << " slot " << k;
+        } else {
+          EXPECT_EQ(top.word[k], 0u) << words << " slot " << k;
+          EXPECT_EQ(top.index[k], 0) << words << " slot " << k;
+        }
+        top_pc += bits::popcount64(top.word[k]);
+      }
+      const int deg = count == 0 ? 0 : rest[0];
+      EXPECT_EQ(top.rest, deg - top_pc) << words;
+      // |A ∩ B| bit by bit, overall and within the four words.
+      int total = 0, in_top = 0;
+      for (int i = 0; i < words; ++i) {
+        for (int bit = 0; bit < bits::kWordBits; ++bit) {
+          const auto m = std::uint64_t{1} << bit;
+          const bool both = (a[static_cast<std::size_t>(i)] & m) != 0 &&
+                            (b[static_cast<std::size_t>(i)] & m) != 0;
+          total += both;
+          for (std::size_t k = 0; k < 4 && k < count; ++k) {
+            in_top += both && top.index[k] == i;
+          }
+        }
+      }
+      for (int need = -2; need <= deg + 2; ++need) {
+        const int settled = bits::densest_four_decide(top, b.data(), need);
+        const int want = in_top >= need                ? 1
+                         : in_top + top.rest < need ? 0
+                                                       : -1;
+        EXPECT_EQ(settled, want) << words << " need " << need;
+        bool got = settled == 1;
+        if (settled < 0) {
+          ++opened;
+          got = bits::and_popcount_at_least(packed.data(), index.data(),
+                                            rest.data(), count, b.data(),
+                                            need);
+          EXPECT_EQ(bits::fallback::and_popcount_at_least(
+                        packed.data(), index.data(), rest.data(), count,
+                        b.data(), need),
+                    got)
+              << words << " need " << need;
+        }
+        EXPECT_EQ(got, total >= need) << words << " need " << need;
+      }
+    }
+  }
+  EXPECT_GT(opened, 0);  // the packed kernel finished some decisions
+}
+
 // ---- ColorSet vs bool-vector reference model ----
 
 // Reference-model counterparts of every query, by color-by-color scan.

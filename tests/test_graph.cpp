@@ -8,6 +8,7 @@
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "graph/stats.hpp"
+#include "helpers.hpp"
 #include "lowdeg/lowdeg.hpp"
 
 namespace ccg::graph {
@@ -206,6 +207,42 @@ TEST(Generators, GnpEdgeCountRoughlyRight) {
   const auto g = gnp(400, 0.05, rng);
   const double expected = 0.05 * 400 * 399 / 2;
   EXPECT_NEAR(static_cast<double>(g.m()), expected, 5 * std::sqrt(expected));
+}
+
+// FNV hash of the edge list in h.edges() order (n and m included).
+std::uint64_t edges_hash(const Graph& g) {
+  std::uint64_t hash = testing::fnv_mix(1469598103934665603ull, g.n());
+  hash = testing::fnv_mix(hash, g.m());
+  for (const auto& [u, v] : g.edges()) {
+    hash = testing::fnv_mix(hash, u);
+    hash = testing::fnv_mix(hash, v);
+  }
+  return hash;
+}
+
+// Golden edge lists of gnp and of the E1 planted instance (whose sparse
+// background is gnp(3200, 0.02)), recorded before gnp's index decode
+// carried its row across samples: the decode may change, the edges not.
+TEST(Generators, GnpAndPlantedEdgesPinned) {
+  const std::uint64_t gnp_pins[] = {5027958009661223098ull,
+                                   10288461265709866872ull};
+  const std::uint64_t planted_pins[] = {7875960968223347952ull,
+                                       16935440943684940776ull};
+  for (int i = 0; i < 2; ++i) {
+    const std::uint64_t seed = 11 + static_cast<std::uint64_t>(i);
+    Rng rng(seed);
+    EXPECT_EQ(edges_hash(gnp(3200, 0.02, rng)), gnp_pins[i]) << seed;
+    PlantedSpec spec;  // ccg_cli --gen planted, E1's flags
+    spec.delta = 256;
+    spec.num_cliques = 20;
+    spec.anti_deg = 2;
+    spec.external_deg = 24;
+    spec.num_sparse = 3200;
+    spec.sparse_avg_deg = spec.delta * 0.25;
+    Rng prng(seed);
+    EXPECT_EQ(edges_hash(make_planted_acd(spec, prng).g), planted_pins[i])
+        << seed;
+  }
 }
 
 TEST(Generators, GnmExact) {
